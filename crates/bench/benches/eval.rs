@@ -46,8 +46,8 @@ fn fitness_eval(c: &mut Criterion) {
     group.throughput(Throughput::Elements(BATCH as u64));
     for dbcs in [4usize, 8] {
         let lists = base_lists(&seq, dbcs);
-        let naive = FitnessEngine::naive(&seq, CostModel::single_port());
-        let engine = FitnessEngine::new(&seq, CostModel::single_port());
+        let naive = FitnessEngine::reference(seq.clone(), CostModel::single_port());
+        let engine = FitnessEngine::new(seq.clone(), CostModel::single_port());
         let costs = engine.per_dbc_costs(&lists);
         let mut naive_jobs = reorder_batch(&lists, &costs);
         group.bench_with_input(BenchmarkId::new("naive", dbcs), &(), |b, ()| {
@@ -66,7 +66,7 @@ fn fitness_eval(c: &mut Criterion) {
         // Fresh candidates (the random walk's workload): allocation-free
         // replay vs the naive clone + placement build.
         let candidates: Vec<Vec<Vec<VarId>>> = vec![lists.clone(); BATCH];
-        let replay = FitnessEngine::new(&seq, CostModel::single_port()).with_memo(false);
+        let replay = FitnessEngine::new(seq.clone(), CostModel::single_port()).with_memo(false);
         group.bench_with_input(BenchmarkId::new("fresh_naive", dbcs), &(), |b, ()| {
             b.iter(|| black_box(naive.batch_costs(&candidates)))
         });

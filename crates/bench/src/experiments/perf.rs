@@ -5,7 +5,7 @@
 //! Per DBC configuration, aggregated over the selected OffsetStone
 //! benchmarks, the experiment times fitness evaluation through the
 //! pre-engine *naive* path (clone + placement build + full-trace replay,
-//! kept alive as [`FitnessEngine::naive`]) and through the incremental
+//! kept alive as [`FitnessEngine::reference`]) and through the incremental
 //! engine, on three workloads:
 //!
 //! * **reorder** — the incremental engine's target case: offspring that
@@ -232,12 +232,7 @@ pub(crate) fn mixed_jobs(
 /// totals were bit-identical (a mismatch is reported, written to the JSON
 /// as `"identical": false`, and caught by the CI gate — the run itself
 /// completes so the record stays auditable).
-fn time_stream(
-    naive: &FitnessEngine<'_>,
-    engine: &FitnessEngine<'_>,
-    jobs: Vec<EvalJob>,
-    out: &mut Pair,
-) {
+fn time_stream(naive: &FitnessEngine, engine: &FitnessEngine, jobs: Vec<EvalJob>, out: &mut Pair) {
     let mut naive_jobs = jobs.clone();
     let t = Instant::now();
     naive.evaluate_batch(&mut naive_jobs);
@@ -266,8 +261,8 @@ fn measure_benchmark(
 ) {
     let capacity = capacity_for(dbcs, seq.vars().len());
     let cost = CostModel::single_port();
-    let engine = FitnessEngine::new(seq, cost);
-    let naive = FitnessEngine::naive(seq, cost);
+    let engine = FitnessEngine::new(seq.clone(), cost);
+    let naive = FitnessEngine::reference(seq.clone(), cost);
 
     // ---- Offspring streams (the headline) -----------------------------
     let base = base_lists(seq, dbcs, capacity);
@@ -295,13 +290,13 @@ fn measure_benchmark(
     }
     .with_seed(opts.seed);
     let placer = GeneticPlacer::new(ga_cfg);
-    let ga_naive_engine = FitnessEngine::naive(seq, cost);
+    let ga_naive_engine = FitnessEngine::reference(seq.clone(), cost);
     let t = Instant::now();
     let ga_naive = placer
         .run_with_engine(&ga_naive_engine, dbcs, capacity, &[])
         .expect("experiment capacities always fit");
     let naive_wall = t.elapsed().as_secs_f64();
-    let ga_inc_engine = FitnessEngine::new(seq, cost);
+    let ga_inc_engine = FitnessEngine::new(seq.clone(), cost);
     let t = Instant::now();
     let ga_engine = placer
         .run_with_engine(&ga_inc_engine, dbcs, capacity, &[])
@@ -326,12 +321,12 @@ fn measure_benchmark(
         iterations: if opts.quick { 256 } else { 2000 },
         seed: opts.seed,
     };
-    let rw_naive_engine = FitnessEngine::naive(seq, cost);
+    let rw_naive_engine = FitnessEngine::reference(seq.clone(), cost);
     let t = Instant::now();
     let rw_naive = random_walk::search_with_engine(&rw_naive_engine, dbcs, capacity, rw_cfg)
         .expect("experiment capacities always fit");
     let naive_s = t.elapsed().as_secs_f64();
-    let rw_inc_engine = FitnessEngine::new(seq, cost).with_memo(false);
+    let rw_inc_engine = FitnessEngine::new(seq.clone(), cost).with_memo(false);
     let t = Instant::now();
     let rw_engine = random_walk::search_with_engine(&rw_inc_engine, dbcs, capacity, rw_cfg)
         .expect("experiment capacities always fit");

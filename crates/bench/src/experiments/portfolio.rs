@@ -24,7 +24,7 @@ use rtm_arch::{ArrayGeometry, RtmGeometry};
 use rtm_offsetstone::suite;
 use rtm_placement::{
     Budget, FitnessEngine, Placement, PlacementProblem, Portfolio, PortfolioConfig,
-    PortfolioOutcome, Strategy,
+    PortfolioOutcome, Session, Strategy,
 };
 
 /// One lane's quality numbers in one race.
@@ -116,7 +116,7 @@ fn heuristic_pass(problem: &PlacementProblem) -> (Vec<Placement>, (&'static str,
 struct GeometryRun<'a> {
     name: &'static str,
     problem: &'a PlacementProblem,
-    engine: &'a FitnessEngine<'a>,
+    engine: &'a FitnessEngine,
     seeds: &'a [Placement],
     heuristic: (&'static str, u64),
     array: &'a ArrayGeometry,
@@ -203,11 +203,11 @@ pub fn collect(opts: &ExperimentOpts) -> (Vec<Row>, Vec<String>) {
             };
             let problem = PlacementProblem::for_array(seq.clone(), &array);
             let (seeds, heuristic) = heuristic_pass(&problem);
-            let engine = problem.engine();
+            let session = Session::new(problem.clone());
             let run = GeometryRun {
                 name: bench.name(),
                 problem: &problem,
-                engine: &engine,
+                engine: session.engine(),
                 seeds: &seeds,
                 heuristic,
                 array: &array,

@@ -210,7 +210,7 @@ fn measure(
     let checked = accesses <= CHECK_LIMIT;
     let identical = !checked || {
         let seq = w.generate();
-        let materialized = FitnessEngine::new(&seq, cost);
+        let materialized = FitnessEngine::new(seq.clone(), cost);
         materialized.per_dbc_costs(out.placement.dbc_lists())
             == engine.per_dbc_costs(out.placement.dbc_lists())
     };
@@ -239,7 +239,7 @@ fn measure(
 fn suite_identical(dbcs: usize) -> bool {
     suite().into_iter().all(|b| {
         let seq = b.trace();
-        let materialized = FitnessEngine::new(&seq, CostModel::single_port());
+        let materialized = FitnessEngine::new(seq.clone(), CostModel::single_port());
         let streaming = FitnessEngine::streaming(&seq, CostModel::single_port());
         let vars = materialized.accessed_vars();
         let mut lists: Vec<Vec<VarId>> = vec![Vec::new(); dbcs];

@@ -174,7 +174,7 @@ fn measure_config(
     let mut shard_count = 1;
     for seq in traces {
         let capacity = capacity_for(dbcs, seq.vars().len());
-        let engine = FitnessEngine::new(seq, cost)
+        let engine = FitnessEngine::new(seq.clone(), cost)
             .with_threads(workers)
             .with_shards(shards);
         shard_count = engine.shard_count();
@@ -202,7 +202,7 @@ fn measure_config(
     // ---- Seed-fixed GA on the representative benchmark ----------------
     let rep = &traces[0];
     let capacity = capacity_for(dbcs, rep.vars().len());
-    let engine = FitnessEngine::new(rep, cost)
+    let engine = FitnessEngine::new(rep.clone(), cost)
         .with_threads(workers)
         .with_shards(shards);
     let placer = GeneticPlacer::new(ga_config(opts));

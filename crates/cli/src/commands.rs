@@ -3,11 +3,7 @@
 use crate::args::CliArgs;
 use crate::{build_problem, build_simulator, parse_strategy, read_trace, ProblemSpec};
 use rtm_offsetstone::{suite as bench_suite, Benchmark, Tier, TierWorkload};
-use rtm_placement::eval::FitnessEngine;
-use rtm_placement::{
-    random_walk, CostModel, GeneticPlacer, Portfolio, SimulatedAnnealing, Solution, Strategy,
-    StrategyKind, TabuSearch,
-};
+use rtm_placement::{PlacementProblem, Solution, Strategy, StrategyKind};
 use rtm_serve::report::{json_escape, solution_fields, Geometry};
 use rtm_serve::server::{ServeConfig, Server};
 use rtm_sim::SimStats;
@@ -33,7 +29,9 @@ pub fn simulate(args: &CliArgs) -> CmdResult {
 /// Builds the full `rtm place` output.
 pub(crate) fn place_report(args: &CliArgs) -> Result<String, Box<dyn std::error::Error>> {
     let seq = read_trace(args)?;
-    let spec = build_problem(args, &seq)?;
+    let spec = build_problem(args, seq.vars().len(), |array| {
+        PlacementProblem::for_array(seq.clone(), array)
+    })?;
     let strategy = parse_strategy(args.get("strategy").unwrap_or("dma-sr"), args)?;
     let sol = spec.problem.solve(&strategy)?;
     if args.flag("json") {
@@ -94,7 +92,9 @@ pub(crate) fn place_report(args: &CliArgs) -> Result<String, Box<dyn std::error:
 /// Builds the full `rtm simulate` output.
 pub(crate) fn simulate_report(args: &CliArgs) -> Result<String, Box<dyn std::error::Error>> {
     let seq = read_trace(args)?;
-    let spec = build_problem(args, &seq)?;
+    let spec = build_problem(args, seq.vars().len(), |array| {
+        PlacementProblem::for_array(seq.clone(), array)
+    })?;
     let strategy = parse_strategy(args.get("strategy").unwrap_or("dma-sr"), args)?;
     let sol = spec.problem.solve(&strategy)?;
     let sim = build_simulator(&spec);
@@ -119,22 +119,32 @@ pub(crate) fn simulate_report(args: &CliArgs) -> Result<String, Box<dyn std::err
 /// `rtm place --stream` — solve through the bounded-memory streaming
 /// pipeline (the trace is indexed, never materialized).
 pub fn place_stream(args: &CliArgs) -> CmdResult {
-    let (spec, outcome) = stream_solve(args)?;
+    let (_, spec) = stream_problem(args)?;
+    let strategy = parse_strategy(args.get("strategy").unwrap_or("sa"), args)?;
+    let sol = spec.problem.solve(&strategy)?;
     let mut out = format!(
         "strategy {} on {} DBCs x {} locations ({} port(s)/track): {} shifts [streamed]",
-        outcome.strategy_name, spec.dbcs, spec.capacity, spec.ports, outcome.cost
+        strategy.name(),
+        spec.dbcs(),
+        spec.capacity(),
+        spec.ports(),
+        sol.shifts
     );
     write!(
         out,
         "\nsearch: {} evals, best found after {:.1} ms",
-        outcome.evals,
-        outcome.time_to_best_ms()
+        sol.evals_consumed,
+        sol.time_to_best.as_secs_f64() * 1e3
     )?;
-    let per_dbc = outcome.engine.per_dbc_costs(outcome.placement.dbc_lists());
-    for (d, list) in outcome.placement.dbc_lists().iter().enumerate() {
+    for (d, list) in sol.placement.dbc_lists().iter().enumerate() {
         // Streams carry no symbol table; variables print positionally.
         let names: Vec<String> = list.iter().map(|v| format!("v{}", v.index())).collect();
-        write!(out, "\nDBC{d} ({} shifts): {}", per_dbc[d], names.join(" "))?;
+        write!(
+            out,
+            "\nDBC{d} ({} shifts): {}",
+            sol.per_dbc_shifts[d],
+            names.join(" ")
+        )?;
     }
     println!("{out}");
     Ok(())
@@ -143,50 +153,26 @@ pub fn place_stream(args: &CliArgs) -> CmdResult {
 /// `rtm simulate --stream` — solve as [`place_stream`], then replay the
 /// stream through [`rtm_sim::Simulator::run_stream`].
 pub fn simulate_stream(args: &CliArgs) -> CmdResult {
-    let (spec, outcome) = stream_solve(args)?;
-    let geometry = rtm_arch::RtmGeometry::new(spec.dbcs, 32, spec.capacity, spec.ports)?;
-    let params = rtm_arch::table1::preset(spec.dbcs)
-        .unwrap_or_else(|| rtm_arch::ScalingModel::from_table1().params(spec.dbcs));
-    let sim = rtm_sim::Simulator::new(geometry, params)?;
-    let stats = sim.run_stream(&spec.workload, &outcome.placement)?;
+    let (workload, spec) = stream_problem(args)?;
+    let strategy = parse_strategy(args.get("strategy").unwrap_or("sa"), args)?;
+    let sol = spec.problem.solve(&strategy)?;
+    let stats = build_simulator(&spec).run_stream(&workload, &sol.placement)?;
     println!(
         "strategy {} [streamed]: {stats}\nruntime {:.1} (incl. compute gaps)",
-        outcome.strategy_name,
+        strategy.name(),
         stats.runtime()
     );
     Ok(())
 }
 
-/// The resolved geometry of a `--stream` invocation.
-struct StreamSpec {
-    workload: TierWorkload,
-    dbcs: usize,
-    capacity: usize,
-    ports: usize,
-}
-
-/// A solved streaming placement with its telemetry (and the engine it was
-/// costed on, for per-DBC reporting).
-struct StreamOutcome<'a> {
-    strategy_name: &'static str,
-    placement: rtm_placement::Placement,
-    cost: u64,
-    evals: u64,
-    time_to_best: std::time::Duration,
-    engine: FitnessEngine<'a>,
-}
-
-impl StreamOutcome<'_> {
-    fn time_to_best_ms(&self) -> f64 {
-        self.time_to_best.as_secs_f64() * 1e3
-    }
-}
-
-/// Resolves `--profile`/`--scale`/geometry and runs the selected anytime
-/// strategy through a streaming [`FitnessEngine`].
-fn stream_solve(
+/// Resolves a `--stream` invocation: the `--profile` workload and the
+/// problem over its streamed index, through the same geometry checks as a
+/// materialized trace. The solve then runs through the library's one
+/// strategy dispatch (`Session::solve`), which rejects the heuristic
+/// strategies (they need the materialized trace).
+fn stream_problem(
     args: &CliArgs,
-) -> Result<(StreamSpec, StreamOutcome<'static>), Box<dyn std::error::Error>> {
+) -> Result<(TierWorkload, ProblemSpec), Box<dyn std::error::Error>> {
     let workload = crate::tier_workload(args)?
         .ok_or("--stream requires --profile (a file trace is already materialized)")?;
     if args.flag("json") {
@@ -195,94 +181,10 @@ fn stream_solve(
     if args.get("subarrays").is_some() {
         return Err("--subarrays is not supported with --stream".into());
     }
-    let dbcs: usize = args.get_parsed("dbcs")?.unwrap_or(4);
-    if dbcs == 0 {
-        return Err("--dbcs must be at least 1".into());
-    }
-    let paper_cap = 4096 * 8 / (dbcs * 32);
-    let default_cap = paper_cap.max(workload.var_count().div_ceil(dbcs));
-    let capacity: usize = args.get_parsed("capacity")?.unwrap_or(default_cap);
-    let ports: usize = args.get_parsed("ports")?.unwrap_or(1);
-    if ports == 0 {
-        return Err("--ports must be at least 1".into());
-    }
-    if ports > capacity {
-        return Err(format!("--ports {ports} exceeds the track length {capacity}").into());
-    }
-    let cost = if ports == 1 {
-        CostModel::single_port()
-    } else {
-        CostModel::multi_port(ports, capacity)
-    };
-    let strategy = parse_strategy(args.get("strategy").unwrap_or("sa"), args)?;
-    let strategy_name = strategy.name();
-    // --threads/--shards reach the streaming engine exactly as they reach
-    // the materialized one (build_problem): results are identical for any
-    // value of either.
-    let threads: usize = args.get_parsed("threads")?.unwrap_or(0);
-    let shards: usize = args.get_parsed("shards")?.unwrap_or(0);
-    let engine = FitnessEngine::streaming(&workload, cost)
-        .with_threads(threads)
-        .with_shards(shards);
-    let (placement, total, evals, time_to_best) = match &strategy {
-        Strategy::Sa(cfg) => {
-            let o = SimulatedAnnealing::new(*cfg).run_with_engine(&engine, dbcs, capacity, &[])?;
-            (o.placement, o.cost, o.evals, o.time_to_best)
-        }
-        Strategy::Tabu(cfg) => {
-            let o = TabuSearch::new(*cfg).run_with_engine(&engine, dbcs, capacity, &[])?;
-            (o.placement, o.cost, o.evals, o.time_to_best)
-        }
-        Strategy::Portfolio(cfg) => {
-            let o = Portfolio::new(cfg.clone()).run_with_engine(&engine, dbcs, capacity, &[])?;
-            let best = o.best();
-            (
-                best.placement.clone(),
-                best.cost,
-                o.total_evals,
-                best.time_to_best,
-            )
-        }
-        Strategy::Ga(cfg) => {
-            let o = GeneticPlacer::new(*cfg).run_with_engine(&engine, dbcs, capacity, &[])?;
-            let cost = o.best_cost;
-            (o.best, cost, o.evaluations as u64, o.time_to_best)
-        }
-        Strategy::RandomWalk(cfg) => {
-            let o = random_walk::run_budgeted(
-                &engine,
-                dbcs,
-                capacity,
-                cfg.seed,
-                rtm_placement::Budget::evals(cfg.iterations as u64),
-                None,
-            )?;
-            (o.placement, o.cost, o.evals, o.time_to_best)
-        }
-        other => {
-            return Err(format!(
-            "strategy {} needs a materialized trace; --stream supports sa, tabu, ga, rw, portfolio",
-            other.name()
-        )
-            .into())
-        }
-    };
-    Ok((
-        StreamSpec {
-            workload,
-            dbcs,
-            capacity,
-            ports,
-        },
-        StreamOutcome {
-            strategy_name,
-            placement,
-            cost: total,
-            evals,
-            time_to_best,
-            engine,
-        },
-    ))
+    let spec = build_problem(args, workload.var_count(), |array| {
+        PlacementProblem::streamed(&workload, array)
+    })?;
+    Ok((workload, spec))
 }
 
 /// The stable machine-readable schema shared by `place` and `simulate`:
@@ -455,12 +357,13 @@ mod tests {
         CliArgs::parse(argv.into_iter()).unwrap()
     }
 
+    /// Writes `content` to a temp file of its own: tests run in parallel,
+    /// so every call gets a fresh path (pid + a process-wide counter).
     fn trace_file(content: &str) -> std::path::PathBuf {
-        let path = std::env::temp_dir().join(format!(
-            "rtm_cli_test_{}_{}.txt",
-            std::process::id(),
-            content.len()
-        ));
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path =
+            std::env::temp_dir().join(format!("rtm_cli_test_{}_{n}.txt", std::process::id()));
         std::fs::write(&path, content).unwrap();
         path
     }
@@ -755,25 +658,34 @@ mod tests {
     #[test]
     fn stream_rejects_unsupported_combinations() {
         let f = trace_file("a b a");
+        let rejection = |a: &CliArgs| place_stream(a).unwrap_err().to_string();
         // --stream without --profile.
         let a = args(&[("trace", f.to_str().unwrap()), ("stream", "")]);
-        assert!(place_stream(&a).is_err());
+        assert_eq!(
+            rejection(&a),
+            "--stream requires --profile (a file trace is already materialized)"
+        );
         // Heuristic strategies need the materialized trace.
         let a = args(&[("profile", "expected-dsp"), ("strategy", "dma-sr")]);
-        assert!(place_stream(&a).is_err());
+        assert_eq!(
+            rejection(&a),
+            "strategy DMA-SR needs a materialized trace; \
+             --stream supports sa, tabu, ga, rw, portfolio"
+        );
         // --json and --subarrays are materialized-only for now.
         let a = args(&[("profile", "expected-dsp"), ("json", "")]);
-        assert!(place_stream(&a).is_err());
+        assert_eq!(rejection(&a), "--json is not supported with --stream");
         let a = args(&[("profile", "expected-dsp"), ("subarrays", "2")]);
-        assert!(place_stream(&a).is_err());
+        assert_eq!(rejection(&a), "--subarrays is not supported with --stream");
         let _ = std::fs::remove_file(f);
     }
 
     #[test]
-    fn stream_solve_matches_materialized_solve() {
+    fn streamed_session_matches_materialized_solve() {
+        use rtm_placement::{CostModel, FitnessEngine, Session, SimulatedAnnealing};
         // The same SA run must find the same cost whether the trace is
-        // materialized or streamed (heuristic seeds are skipped on both
-        // sides by pinning the start with a fixed seed and no seeds).
+        // materialized or streamed. A streamed session has no heuristic
+        // seeds, so the materialized side starts from no seeds either.
         let a = args(&[
             ("profile", "stress-ctl"),
             ("scale", "0.05"),
@@ -782,16 +694,18 @@ mod tests {
             ("budget-evals", "300"),
             ("seed", "5"),
         ]);
-        let (_, streamed) = stream_solve(&a).unwrap();
+        let (_, spec) = stream_problem(&a).unwrap();
+        let strategy = parse_strategy("sa", &a).unwrap();
+        let streamed = Session::new(spec.problem).solve(&strategy).unwrap();
         let w = TierWorkload::by_name("stress-ctl", 0.05).unwrap();
         let seq = w.generate();
-        let engine = FitnessEngine::new(&seq, CostModel::single_port());
+        let engine = FitnessEngine::new(seq.clone(), CostModel::single_port());
         let capacity = seq.vars().len().div_ceil(2).max(4096 * 8 / (2 * 32));
         let cfg = rtm_placement::SaConfig::new(rtm_placement::Budget::evals(300)).with_seed(5);
         let out = SimulatedAnnealing::new(cfg)
             .run_with_engine(&engine, 2, capacity, &[])
             .unwrap();
-        assert_eq!(streamed.cost, out.cost);
+        assert_eq!(streamed.shifts, out.cost);
         assert_eq!(streamed.placement, out.placement);
     }
 

@@ -263,7 +263,9 @@ impl ProblemSpec {
     }
 }
 
-/// Builds the placement problem implied by the options.
+/// Builds the placement problem implied by the options, over a trace of
+/// `vars` variables that `problem` wraps once the geometry is checked (a
+/// materialized sequence or a streamed index).
 ///
 /// Without `--subarrays` this is the historical flat problem (default
 /// capacity grows to fit the trace). With `--subarrays N` the capacity
@@ -271,7 +273,8 @@ impl ProblemSpec {
 /// never grown; workloads must fit the `N`-subarray array.
 fn build_problem(
     args: &CliArgs,
-    seq: &AccessSequence,
+    vars: usize,
+    problem: impl FnOnce(&rtm_arch::ArrayGeometry) -> PlacementProblem,
 ) -> Result<ProblemSpec, Box<dyn std::error::Error>> {
     let dbcs: usize = args.get_parsed("dbcs")?.unwrap_or(4);
     if dbcs == 0 {
@@ -285,7 +288,7 @@ fn build_problem(
     let default_cap = if subarrays > 1 {
         paper_cap
     } else {
-        paper_cap.max(seq.vars().len().div_ceil(dbcs))
+        paper_cap.max(vars.div_ceil(dbcs))
     };
     let capacity: usize = args.get_parsed("capacity")?.unwrap_or(default_cap);
     let ports: usize = args.get_parsed("ports")?.unwrap_or(1);
@@ -299,9 +302,7 @@ fn build_problem(
     let shards: usize = args.get_parsed("shards")?.unwrap_or(0);
     let subarray = rtm_arch::RtmGeometry::new(dbcs, 32, capacity, ports)?;
     let array = rtm_arch::ArrayGeometry::new(subarrays, subarray)?;
-    let problem = PlacementProblem::for_array(seq.clone(), &array)
-        .with_threads(threads)
-        .with_shards(shards);
+    let problem = problem(&array).with_threads(threads).with_shards(shards);
     Ok(ProblemSpec { problem, array })
 }
 

@@ -46,6 +46,13 @@ pub enum PlacementError {
     /// A search was configured with parameters it cannot run under
     /// (e.g. an empty GA population).
     SearchConfig(String),
+    /// A heuristic strategy was asked to solve a streamed problem: the
+    /// heuristics read the materialized sequence, which a streamed problem
+    /// never builds (`rtm place --stream` is the surface that reaches this).
+    NeedsMaterializedTrace {
+        /// The strategy's name.
+        strategy: &'static str,
+    },
     /// Every portfolio lane failed (panicked or timed out) before any
     /// incumbent was published — there is no placement to degrade to.
     NoSurvivingLane {
@@ -99,6 +106,11 @@ impl fmt::Display for PlacementError {
             PlacementError::SearchConfig(msg) => {
                 write!(f, "invalid search configuration: {msg}")
             }
+            PlacementError::NeedsMaterializedTrace { strategy } => write!(
+                f,
+                "strategy {strategy} needs a materialized trace; \
+                 --stream supports sa, tabu, ga, rw, portfolio"
+            ),
             PlacementError::NoSurvivingLane { lanes } => write!(
                 f,
                 "no portfolio lane survived to publish a placement (lanes: {})",

@@ -35,9 +35,18 @@
 //! to the port config — costs cached under one model can never answer a
 //! query under another.
 //!
-//! The engine also keeps the pre-engine evaluation path alive as
-//! [`FitnessEngine::naive`] — a reference evaluator used by the equivalence
-//! test-suite and as the baseline of the `rtm-bench perf` experiment.
+//! The engine owns its trace (an [`Arc`]), so it has no lifetime: one
+//! engine can live as long as the [`Session`](crate::Session) or server
+//! cache that holds it. It costs against one of three sources:
+//!
+//! - **materialized** ([`FitnessEngine::new`]) — an in-memory sequence and
+//!   the bitmap-scatter [`PositionIndex`]; the production path;
+//! - **streamed** ([`FitnessEngine::streaming`]) — a delta-compressed
+//!   [`CompactPositionIndex`] built in two chunked passes, for traces that
+//!   must never be materialized (bounded memory);
+//! - **reference** ([`FitnessEngine::reference`]) — the pre-engine
+//!   full-trace replay, kept as the oracle of the equivalence tests and the
+//!   baseline of the `rtm-bench perf` experiment.
 //!
 //! # Example
 //!
@@ -47,7 +56,7 @@
 //! use rtm_trace::{AccessSequence, VarId};
 //!
 //! let seq = AccessSequence::parse("a b a b c a")?;
-//! let engine = FitnessEngine::new(&seq, CostModel::single_port());
+//! let engine = FitnessEngine::new(seq.clone(), CostModel::single_port());
 //! let v = |i| VarId::from_index(i);
 //! let p = Placement::from_dbc_lists(vec![vec![v(0), v(1)], vec![v(2)]]);
 //! assert_eq!(engine.shift_cost(&p), CostModel::single_port().shift_cost(&p, seq.accesses()));
@@ -291,47 +300,23 @@ const SUBSEQ_ELEM_CAPACITY: usize = 1 << 22;
 /// few generations, not a whole run).
 const MEMO_CAPACITY: usize = 1 << 16;
 
-/// How a materialized engine holds its trace: borrowed from the caller
-/// (the historical transient-engine path) or shared via [`Arc`] (the
-/// [`Session`](crate::Session) path, where the engine must outlive any one
-/// solve call). Costing never cares which — both deref to the same
-/// [`AccessSequence`].
-#[derive(Debug)]
-enum SeqRef<'a> {
-    /// Borrowed for the engine's lifetime.
-    Borrowed(&'a AccessSequence),
-    /// Shared ownership — the engine can be `'static`.
-    Shared(Arc<AccessSequence>),
-}
-
-impl std::ops::Deref for SeqRef<'_> {
-    type Target = AccessSequence;
-
-    fn deref(&self) -> &AccessSequence {
-        match self {
-            SeqRef::Borrowed(seq) => seq,
-            SeqRef::Shared(seq) => seq,
-        }
-    }
-}
-
-/// Where the engine's trace comes from.
+/// Where the engine's trace comes from, and how it costs whole placements.
 ///
-/// Both variants index the **consecutive-deduplicated** stream (a
-/// self-transition is free at every port count), so a per-DBC cost is the
-/// same pure function of the list's content under either source — the
-/// streaming path is bit-identical to the materialized one by
-/// construction, and the equivalence tests pin it.
+/// The engine owns its trace through an [`Arc`], so an engine has no
+/// lifetime and can live in a long-lived [`Session`](crate::Session) or a
+/// server-side cache. The two production sources index the
+/// **consecutive-deduplicated** stream (a self-transition is free at every
+/// port count), so a per-DBC cost is the same pure function of the list's
+/// content under either — the streaming path is bit-identical to the
+/// materialized one by construction, and the equivalence tests pin it.
 #[derive(Debug)]
-enum TraceSource<'a> {
+enum TraceSource {
     /// An in-memory [`AccessSequence`] with the uncompressed
-    /// [`PositionIndex`] of its dedup stream — the historical path, and
-    /// the only one that can serve naive-mode replays.
+    /// [`PositionIndex`] of its dedup stream — the production path.
     Materialized {
-        seq: SeqRef<'a>,
-        /// The trace with consecutive same-variable accesses collapsed.
-        /// All engine costing runs against this stream; only the naive
-        /// reference path replays `seq` verbatim.
+        seq: Arc<AccessSequence>,
+        /// The trace with consecutive same-variable accesses collapsed;
+        /// fresh candidates are costed by one replay of this stream.
         dedup: Vec<VarId>,
         /// Position index of `dedup` (not of the raw trace).
         index: PositionIndex,
@@ -339,19 +324,37 @@ enum TraceSource<'a> {
     /// A delta-compressed [`CompactPositionIndex`] built from one
     /// streaming pass pair — the trace itself is never materialized, so
     /// resident memory is the compressed index, not `O(|S|)` ids.
-    Streamed { index: CompactPositionIndex },
+    Streamed { index: Arc<CompactPositionIndex> },
+    /// The pre-engine evaluation path, kept as the oracle of the
+    /// equivalence tests and the baseline of the `rtm-bench perf`
+    /// experiment: every whole-placement costing clones the lists, builds a
+    /// [`Placement`] and replays the full trace through
+    /// [`CostModel::per_dbc_costs`], with no caches. Single-DBC costing
+    /// ([`FitnessEngine::dbc_cost`]) walks `index` uncached.
+    Reference {
+        seq: Arc<AccessSequence>,
+        /// Position index of the dedup stream.
+        index: PositionIndex,
+    },
 }
 
-/// How the engine computes per-DBC costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EvalMode {
-    /// Subsequence costing over the [`PositionIndex`] with memoization —
-    /// the production path.
-    Incremental,
-    /// The pre-engine path: clone the lists, build a [`Placement`] and
-    /// replay the full trace. Kept as the reference for equivalence tests
-    /// and the `perf` baseline.
-    Naive,
+/// The consecutive-deduplicated stream of `seq`, the [`PositionIndex`] of
+/// that stream, and the accessed variables in first-occurrence order.
+fn dedup_index(seq: &AccessSequence) -> (Vec<VarId>, PositionIndex, Vec<VarId>) {
+    let mut dedup: Vec<VarId> = Vec::with_capacity(seq.len());
+    let mut seen = vec![false; seq.vars().len()];
+    let mut accessed: Vec<VarId> = Vec::new();
+    for &v in seq.accesses() {
+        if dedup.last() != Some(&v) {
+            dedup.push(v);
+        }
+        if !seen[v.index()] {
+            seen[v.index()] = true;
+            accessed.push(v);
+        }
+    }
+    let index = PositionIndex::of_accesses(&dedup, seq.vars().len());
+    (dedup, index, accessed)
 }
 
 /// Counters describing what the engine actually did — the raw material of
@@ -360,8 +363,8 @@ enum EvalMode {
 pub struct EngineStats {
     /// Individuals (whole placements) evaluated.
     pub evaluations: u64,
-    /// Per-DBC costs computed from scratch (subsequence merges or, in naive
-    /// mode, full-trace replays).
+    /// Per-DBC costs computed from scratch (subsequence merges or, on the
+    /// reference source, full-trace replays).
     pub dbc_recomputations: u64,
     /// Per-DBC costs answered by the content-keyed memo cache.
     pub dbc_cache_hits: u64,
@@ -564,8 +567,8 @@ impl EvalJob {
 /// (one [`PositionIndex`] build), after which per-DBC costs are
 /// `O(A log A)` in the DBC's own access count.
 #[derive(Debug)]
-pub struct FitnessEngine<'a> {
-    source: TraceSource<'a>,
+pub struct FitnessEngine {
+    source: TraceSource,
     cost: CostModel,
     /// The per-access coster with port homes precomputed — the multi-port
     /// min-over-ports displacement runs in the merge/walk inner loops
@@ -576,7 +579,6 @@ pub struct FitnessEngine<'a> {
     /// the canonical variable universe for fit checks and random seeding
     /// when no sequence exists (streamed sources).
     accessed: Vec<VarId>,
-    mode: EvalMode,
     pool: Arc<WorkerPool>,
     /// Whether the caches are enabled at all (memoization can be turned
     /// off for pure random sampling via [`with_memo`](Self::with_memo)).
@@ -601,29 +603,29 @@ pub struct FitnessEngine<'a> {
     eval_nanos: AtomicU64,
 }
 
-impl<'a> FitnessEngine<'a> {
+impl FitnessEngine {
     /// Creates the production engine: subsequence costing, memoization on,
-    /// thread count auto-detected.
-    pub fn new(seq: &'a AccessSequence, cost: CostModel) -> Self {
-        Self::with_mode(SeqRef::Borrowed(seq), cost, EvalMode::Incremental)
+    /// thread count auto-detected. The engine owns its trace: pass an
+    /// `Arc` to share one parsed sequence (a [`Session`](crate::Session)
+    /// does), or the sequence itself.
+    pub fn new(seq: impl Into<Arc<AccessSequence>>, cost: CostModel) -> Self {
+        let seq = seq.into();
+        let (dedup, index, accessed) = dedup_index(&seq);
+        Self::with_source(
+            TraceSource::Materialized { seq, dedup, index },
+            accessed,
+            cost,
+        )
     }
 
     /// Creates the reference engine replicating the pre-engine evaluation
     /// path (full-trace replay through a freshly built [`Placement`], one
-    /// list clone per evaluation). Used by the equivalence tests and as the
-    /// baseline side of the `rtm-bench perf` experiment.
-    pub fn naive(seq: &'a AccessSequence, cost: CostModel) -> Self {
-        Self::with_mode(SeqRef::Borrowed(seq), cost, EvalMode::Naive)
-    }
-
-    /// Creates a production engine that **shares ownership** of its trace:
-    /// the returned engine is `'static`, so it can be stored in a
-    /// long-lived [`Session`](crate::Session) (or a server-side cache) and
-    /// reused across solves instead of being rebuilt per call. Costing is
-    /// bit-identical to [`new`](Self::new) over the same sequence — only
-    /// the ownership of the trace differs.
-    pub fn shared(seq: Arc<AccessSequence>, cost: CostModel) -> FitnessEngine<'static> {
-        FitnessEngine::with_mode(SeqRef::Shared(seq), cost, EvalMode::Incremental)
+    /// list clone per evaluation, no caches). Used by the equivalence tests
+    /// and as the baseline side of the `rtm-bench perf` experiment.
+    pub fn reference(seq: impl Into<Arc<AccessSequence>>, cost: CostModel) -> Self {
+        let seq = seq.into();
+        let (_, index, accessed) = dedup_index(&seq);
+        Self::with_source(TraceSource::Reference { seq, index }, accessed, cost)
     }
 
     /// Creates a **streaming** engine over any [`AccessStream`]: the trace
@@ -640,63 +642,34 @@ impl<'a> FitnessEngine<'a> {
     /// content-keyed cost memo works as usual.
     ///
     /// [`seq`](Self::seq) returns `None` for a streaming engine, so
-    /// sequence-dependent extras (naive mode, heuristic seeding) are
-    /// unavailable — the search loops degrade gracefully.
+    /// sequence-dependent extras (heuristic seeding) are unavailable — the
+    /// search loops degrade gracefully.
     pub fn streaming(src: &dyn AccessStream, cost: CostModel) -> Self {
-        let index = CompactPositionIndex::from_stream(src);
-        Self::from_compact_index(index, cost)
+        Self::from_compact_index(CompactPositionIndex::from_stream(src), cost)
     }
 
     /// Creates a streaming engine from an already-built
     /// [`CompactPositionIndex`] (see [`streaming`](Self::streaming)) —
-    /// lets callers that need the index anyway (memory accounting, reuse
-    /// across engines) avoid a second two-pass build.
-    pub fn from_compact_index(index: CompactPositionIndex, cost: CostModel) -> Self {
-        let accessed = index.accessed_vars().to_vec();
-        Self::with_source(
-            TraceSource::Streamed { index },
-            accessed,
-            cost,
-            EvalMode::Incremental,
-        )
-    }
-
-    fn with_mode(seq: SeqRef<'a>, cost: CostModel, mode: EvalMode) -> Self {
-        let mut dedup: Vec<VarId> = Vec::with_capacity(seq.len());
-        let mut seen = vec![false; seq.vars().len()];
-        let mut accessed: Vec<VarId> = Vec::new();
-        for &v in seq.accesses() {
-            if dedup.last() != Some(&v) {
-                dedup.push(v);
-            }
-            if !seen[v.index()] {
-                seen[v.index()] = true;
-                accessed.push(v);
-            }
-        }
-        let index = PositionIndex::of_accesses(&dedup, seq.vars().len());
-        Self::with_source(
-            TraceSource::Materialized { seq, dedup, index },
-            accessed,
-            cost,
-            mode,
-        )
-    }
-
-    fn with_source(
-        source: TraceSource<'a>,
-        accessed: Vec<VarId>,
+    /// lets callers that need the index anyway (memory accounting, sharing
+    /// one index across engines) avoid a second two-pass build.
+    pub fn from_compact_index(
+        index: impl Into<Arc<CompactPositionIndex>>,
         cost: CostModel,
-        mode: EvalMode,
     ) -> Self {
+        let index = index.into();
+        let accessed = index.accessed_vars().to_vec();
+        Self::with_source(TraceSource::Streamed { index }, accessed, cost)
+    }
+
+    fn with_source(source: TraceSource, accessed: Vec<VarId>, cost: CostModel) -> Self {
+        let caching = !matches!(source, TraceSource::Reference { .. });
         let mut engine = Self {
             source,
             cost,
             coster: cost.coster(),
             accessed,
-            mode,
             pool: Arc::new(WorkerPool::new(0)),
-            caching: mode == EvalMode::Incremental,
+            caching,
             shards: 0,
             memo: None,
             subseq: None,
@@ -716,7 +689,7 @@ impl<'a> FitnessEngine<'a> {
         engine
     }
 
-    /// (Re)builds the sharded caches for the current mode, source, worker
+    /// (Re)builds the sharded caches for the current source, worker
     /// count and shard override. Only called from the builder methods,
     /// before any costing — caches start empty either way. The
     /// subsequence cache stores O(subsequence)-sized summaries; streaming
@@ -793,7 +766,7 @@ impl<'a> FitnessEngine<'a> {
     /// membership-keyed subsequence cache. Useful for pure random sampling,
     /// where neither lists nor memberships recur.
     pub fn with_memo(mut self, enabled: bool) -> Self {
-        self.caching = enabled && self.mode == EvalMode::Incremental;
+        self.caching = enabled && !matches!(self.source, TraceSource::Reference { .. });
         self.rebuild_caches();
         self
     }
@@ -803,7 +776,7 @@ impl<'a> FitnessEngine<'a> {
     /// existed as chunks).
     pub fn seq(&self) -> Option<&AccessSequence> {
         match &self.source {
-            TraceSource::Materialized { seq, .. } => Some(&**seq),
+            TraceSource::Materialized { seq, .. } | TraceSource::Reference { seq, .. } => Some(seq),
             TraceSource::Streamed { .. } => None,
         }
     }
@@ -847,7 +820,9 @@ impl<'a> FitnessEngine<'a> {
     /// Number of variable slots the trace's index covers.
     fn var_table_len(&self) -> usize {
         match &self.source {
-            TraceSource::Materialized { index, .. } => index.var_count(),
+            TraceSource::Materialized { index, .. } | TraceSource::Reference { index, .. } => {
+                index.var_count()
+            }
             TraceSource::Streamed { index } => index.var_count(),
         }
     }
@@ -855,7 +830,9 @@ impl<'a> FitnessEngine<'a> {
     /// `v`'s dedup-stream access count (0 for unknown variables).
     fn var_frequency(&self, v: VarId) -> usize {
         match &self.source {
-            TraceSource::Materialized { index, .. } => index.frequency(v),
+            TraceSource::Materialized { index, .. } | TraceSource::Reference { index, .. } => {
+                index.frequency(v)
+            }
             TraceSource::Streamed { index } => index.frequency(v),
         }
     }
@@ -1127,7 +1104,7 @@ impl<'a> FitnessEngine<'a> {
     /// (Self::walk_seq_buf) yields bit-identical costs either way.
     fn merge_members(&self, list: &[VarId], scratch: &mut EvalScratch) {
         match &self.source {
-            TraceSource::Materialized { index, .. } => {
+            TraceSource::Materialized { index, .. } | TraceSource::Reference { index, .. } => {
                 self.merge_members_indexed(index, list, scratch);
             }
             TraceSource::Streamed { index } => Self::merge_members_streamed(index, list, scratch),
@@ -1289,14 +1266,16 @@ impl<'a> FitnessEngine<'a> {
     }
 
     /// Allocation-free full replay of a complete placement: one pass over
-    /// the deduplicated access stream with scratch lookup tables — naive
-    /// semantics without the naive path's clone and `Placement` build. Used
+    /// the deduplicated access stream with scratch lookup tables — reference
+    /// semantics without the reference path's clone and `Placement` build. Used
     /// for fresh candidates (random walk) where no per-DBC structure can be
     /// reused.
-    fn replay_lists(&self, lists: &[Vec<VarId>], scratch: &mut EvalScratch) -> u64 {
-        let TraceSource::Materialized { dedup, .. } = &self.source else {
-            unreachable!("replay_lists requires a materialized dedup stream");
-        };
+    fn replay_lists(
+        &self,
+        dedup: &[VarId],
+        lists: &[Vec<VarId>],
+        scratch: &mut EvalScratch,
+    ) -> u64 {
         self.dbc_recomputations
             .fetch_add(lists.len() as u64, Ordering::Relaxed);
         let table_len = self.var_table_len();
@@ -1374,13 +1353,15 @@ impl<'a> FitnessEngine<'a> {
     pub fn per_dbc_costs(&self, lists: &[Vec<VarId>]) -> Vec<u64> {
         self.evaluations.fetch_add(1, Ordering::Relaxed);
         let start = Instant::now();
-        let mut scratch = self.scratch();
-        let costs = match self.mode {
-            EvalMode::Incremental => lists
-                .iter()
-                .map(|l| self.dbc_cost_with(l, &mut scratch))
-                .collect(),
-            EvalMode::Naive => self.naive_per_dbc_costs(lists),
+        let costs = match &self.source {
+            TraceSource::Reference { seq, .. } => self.reference_per_dbc_costs(seq, lists),
+            _ => {
+                let mut scratch = self.scratch();
+                lists
+                    .iter()
+                    .map(|l| self.dbc_cost_with(l, &mut scratch))
+                    .collect()
+            }
         };
         self.add_eval_time(start);
         costs
@@ -1398,10 +1379,7 @@ impl<'a> FitnessEngine<'a> {
 
     /// The pre-engine evaluation, verbatim: clone the lists, build a
     /// placement, replay the whole trace.
-    fn naive_per_dbc_costs(&self, lists: &[Vec<VarId>]) -> Vec<u64> {
-        let TraceSource::Materialized { seq, .. } = &self.source else {
-            unreachable!("naive mode is only constructible from a materialized sequence");
-        };
+    fn reference_per_dbc_costs(&self, seq: &AccessSequence, lists: &[Vec<VarId>]) -> Vec<u64> {
         self.dbc_recomputations
             .fetch_add(lists.len() as u64, Ordering::Relaxed);
         let p = Placement::from_dbc_lists(lists.to_vec());
@@ -1433,7 +1411,7 @@ impl<'a> FitnessEngine<'a> {
 
     /// One worker's batch context: scratch plus the private memo overlay
     /// (when the memo is enabled at all).
-    fn batch_ctx(&self) -> BatchCtx<'_, 'a> {
+    fn batch_ctx(&self) -> BatchCtx<'_> {
         BatchCtx {
             engine: self,
             scratch: self.scratch(),
@@ -1459,9 +1437,12 @@ impl<'a> FitnessEngine<'a> {
         self.memo_merged.fetch_add(merged, Ordering::Relaxed);
     }
 
-    fn finish_job(&self, job: &mut EvalJob, ctx: &mut BatchCtx<'_, 'a>) {
-        match self.mode {
-            EvalMode::Incremental => {
+    fn finish_job(&self, job: &mut EvalJob, ctx: &mut BatchCtx<'_>) {
+        match &self.source {
+            TraceSource::Reference { seq, .. } => {
+                job.dbc_costs = self.reference_per_dbc_costs(seq, &job.lists);
+            }
+            _ => {
                 let mut inherited = 0u64;
                 for d in 0..job.lists.len() {
                     if job.dirty.is_dirty(d) {
@@ -1476,7 +1457,6 @@ impl<'a> FitnessEngine<'a> {
                 }
                 self.dbc_inherited.fetch_add(inherited, Ordering::Relaxed);
             }
-            EvalMode::Naive => job.dbc_costs = self.naive_per_dbc_costs(&job.lists),
         }
     }
 
@@ -1502,18 +1482,18 @@ impl<'a> FitnessEngine<'a> {
     }
 
     fn total_cost_uncached(&self, lists: &[Vec<VarId>], scratch: &mut EvalScratch) -> u64 {
-        match (self.mode, &self.source) {
-            (EvalMode::Incremental, TraceSource::Materialized { .. }) => {
-                self.replay_lists(lists, scratch)
-            }
+        match &self.source {
+            TraceSource::Materialized { dedup, .. } => self.replay_lists(dedup, lists, scratch),
             // Streaming has no linear dedup stream to replay; per-DBC
             // separability makes the sum of per-DBC merges the same total
             // (and the same recomputation count).
-            (EvalMode::Incremental, TraceSource::Streamed { .. }) => lists
+            TraceSource::Streamed { .. } => lists
                 .iter()
                 .map(|l| self.dbc_cost_uncached(l, scratch, true))
                 .sum(),
-            (EvalMode::Naive, _) => self.naive_per_dbc_costs(lists).into_iter().sum(),
+            TraceSource::Reference { seq, .. } => {
+                self.reference_per_dbc_costs(seq, lists).into_iter().sum()
+            }
         }
     }
 }
@@ -1524,14 +1504,14 @@ impl<'a> FitnessEngine<'a> {
 /// the overlay — so the per-DBC hot loop never blocks on a lock. The
 /// overlay merges into the shared sharded memo when the context drops at
 /// the end of the batch.
-struct BatchCtx<'e, 'a> {
-    engine: &'e FitnessEngine<'a>,
+struct BatchCtx<'e> {
+    engine: &'e FitnessEngine,
     scratch: EvalScratch,
     /// Private memo overlay; `None` when the engine's memo is disabled.
     overlay: Option<Memo>,
 }
 
-impl Drop for BatchCtx<'_, '_> {
+impl Drop for BatchCtx<'_> {
     fn drop(&mut self) {
         // Merging is purely an optimization — every value is a pure
         // function of its key — so the unwind path skips it: a panicking
@@ -1567,7 +1547,7 @@ mod tests {
     fn matches_cost_model_on_paper_example() {
         let seq = AccessSequence::parse(PAPER_SEQ).unwrap();
         let lists = paper_placement(&seq);
-        let engine = FitnessEngine::new(&seq, CostModel::single_port());
+        let engine = FitnessEngine::new(seq.clone(), CostModel::single_port());
         assert_eq!(engine.per_dbc_costs(&lists), vec![4, 7]);
         assert_eq!(engine.lists_cost(&lists), 11);
         let p = Placement::from_dbc_lists(lists);
@@ -1575,18 +1555,18 @@ mod tests {
     }
 
     #[test]
-    fn naive_mode_matches_incremental() {
+    fn reference_source_matches_incremental() {
         let seq = AccessSequence::parse(PAPER_SEQ).unwrap();
         let lists = paper_placement(&seq);
         for cost in [CostModel::single_port(), CostModel::multi_port(2, 8)] {
-            let inc = FitnessEngine::new(&seq, cost);
-            let naive = FitnessEngine::naive(&seq, cost);
-            assert_eq!(inc.per_dbc_costs(&lists), naive.per_dbc_costs(&lists));
+            let inc = FitnessEngine::new(seq.clone(), cost);
+            let reference = FitnessEngine::reference(seq.clone(), cost);
+            assert_eq!(inc.per_dbc_costs(&lists), reference.per_dbc_costs(&lists));
         }
     }
 
     /// Poisons every shard of both caches by panicking under each lock.
-    fn poison_all_shards(engine: &FitnessEngine<'_>) {
+    fn poison_all_shards(engine: &FitnessEngine) {
         fn poison<T>(m: &Mutex<T>) {
             let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let _guard = m.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -1606,7 +1586,8 @@ mod tests {
         let seq = AccessSequence::parse(PAPER_SEQ).unwrap();
         let lists = paper_placement(&seq);
         for shards in [1usize, 8] {
-            let engine = FitnessEngine::new(&seq, CostModel::single_port()).with_shards(shards);
+            let engine =
+                FitnessEngine::new(seq.clone(), CostModel::single_port()).with_shards(shards);
             let want = engine.per_dbc_costs(&lists);
             for _ in 0..2 {
                 poison_all_shards(&engine);
@@ -1649,14 +1630,14 @@ mod tests {
                 l
             })
             .collect();
-        let baseline = FitnessEngine::new(&seq, CostModel::single_port())
+        let baseline = FitnessEngine::new(seq.clone(), CostModel::single_port())
             .with_threads(1)
             .with_shards(1);
         let want_batch = baseline.batch_costs(&candidates);
         let want_dbc = baseline.per_dbc_costs(&base);
         for shards in [1usize, 2, 8, 64] {
             for threads in [1usize, 4] {
-                let engine = FitnessEngine::new(&seq, CostModel::single_port())
+                let engine = FitnessEngine::new(seq.clone(), CostModel::single_port())
                     .with_threads(threads)
                     .with_shards(shards);
                 assert_eq!(engine.batch_costs(&candidates), want_batch);
@@ -1672,13 +1653,13 @@ mod tests {
     fn batch_overlays_merge_into_the_shared_memo() {
         let seq = AccessSequence::parse(PAPER_SEQ).unwrap();
         let base = paper_placement(&seq);
-        let engine = FitnessEngine::new(&seq, CostModel::single_port()).with_threads(1);
+        let engine = FitnessEngine::new(seq.clone(), CostModel::single_port()).with_threads(1);
         // The same lists recur within one batch: the worker's private
         // filter promotes them on second touch, and the batch-boundary
         // merge lands them in the shared sharded memo.
         let mut jobs: Vec<EvalJob> = (0..4).map(|_| EvalJob::fresh(base.clone())).collect();
         engine.evaluate_batch(&mut jobs);
-        let reference = FitnessEngine::new(&seq, CostModel::single_port());
+        let reference = FitnessEngine::new(seq.clone(), CostModel::single_port());
         let want = reference.per_dbc_costs(&base);
         for job in &jobs {
             assert_eq!(job.dbc_costs, want);
@@ -1695,7 +1676,7 @@ mod tests {
     fn memo_cache_hits_on_repeats() {
         let seq = AccessSequence::parse(PAPER_SEQ).unwrap();
         let lists = paper_placement(&seq);
-        let engine = FitnessEngine::new(&seq, CostModel::single_port());
+        let engine = FitnessEngine::new(seq.clone(), CostModel::single_port());
         engine.per_dbc_costs(&lists);
         engine.per_dbc_costs(&lists);
         engine.per_dbc_costs(&lists);
@@ -1711,7 +1692,7 @@ mod tests {
     fn dirty_mask_drives_incremental_reuse() {
         let seq = AccessSequence::parse(PAPER_SEQ).unwrap();
         let lists = paper_placement(&seq);
-        let engine = FitnessEngine::new(&seq, CostModel::single_port()).with_memo(false);
+        let engine = FitnessEngine::new(seq.clone(), CostModel::single_port()).with_memo(false);
         let costs = engine.per_dbc_costs(&lists);
         // Swap two variables in DBC1 only; DBC0's cost is inherited.
         let mut mutated = lists.clone();
@@ -1720,7 +1701,7 @@ mod tests {
         job.dirty.mark(1);
         engine.evaluate_batch(std::slice::from_mut(&mut job));
         assert_eq!(job.dbc_costs[0], costs[0]);
-        let reference = FitnessEngine::new(&seq, CostModel::single_port());
+        let reference = FitnessEngine::new(seq.clone(), CostModel::single_port());
         assert_eq!(job.dbc_costs, reference.per_dbc_costs(&job.lists));
         assert_eq!(engine.stats().dbc_inherited, 1);
     }
@@ -1731,7 +1712,7 @@ mod tests {
         let v = VarId::from_index;
         // Four global DBCs = two subarrays of two DBCs.
         let lists = vec![vec![v(0)], vec![v(1)], vec![v(2)], vec![v(3)]];
-        let engine = FitnessEngine::new(&seq, CostModel::single_port()).with_memo(false);
+        let engine = FitnessEngine::new(seq.clone(), CostModel::single_port()).with_memo(false);
         let costs = engine.per_dbc_costs(&lists);
         // Swap the two lists of subarray 1 and mark only that subarray.
         let mut mutated = lists.clone();
@@ -1741,7 +1722,7 @@ mod tests {
         assert!(!job.dirty.is_dirty(0) && !job.dirty.is_dirty(1));
         assert!(job.dirty.is_dirty(2) && job.dirty.is_dirty(3));
         engine.evaluate_batch(std::slice::from_mut(&mut job));
-        let reference = FitnessEngine::new(&seq, CostModel::single_port());
+        let reference = FitnessEngine::new(seq.clone(), CostModel::single_port());
         assert_eq!(job.dbc_costs, reference.per_dbc_costs(&job.lists));
         assert_eq!(engine.stats().dbc_inherited, 2);
     }
@@ -1758,8 +1739,8 @@ mod tests {
                 l
             })
             .collect();
-        let seq_engine = FitnessEngine::new(&seq, CostModel::single_port()).with_threads(1);
-        let par_engine = FitnessEngine::new(&seq, CostModel::single_port()).with_threads(4);
+        let seq_engine = FitnessEngine::new(seq.clone(), CostModel::single_port()).with_threads(1);
+        let par_engine = FitnessEngine::new(seq.clone(), CostModel::single_port()).with_threads(4);
         assert_eq!(
             seq_engine.batch_costs(&candidates),
             par_engine.batch_costs(&candidates)
@@ -1776,7 +1757,7 @@ mod tests {
     #[test]
     fn unplaced_and_unknown_variables_are_ignored() {
         let seq = AccessSequence::parse("a b a b").unwrap();
-        let engine = FitnessEngine::new(&seq, CostModel::single_port());
+        let engine = FitnessEngine::new(seq.clone(), CostModel::single_port());
         // Only `a` placed: b's accesses don't move the port.
         assert_eq!(engine.dbc_cost(&[VarId::from_index(0)]), 0);
         // A variable the trace never saw contributes nothing.
@@ -1791,7 +1772,7 @@ mod tests {
         let seq = AccessSequence::parse(PAPER_SEQ).unwrap();
         let lists = paper_placement(&seq);
         for cost in [CostModel::single_port(), CostModel::multi_port(2, 8)] {
-            let materialized = FitnessEngine::new(&seq, cost);
+            let materialized = FitnessEngine::new(seq.clone(), cost);
             // Arbitrary chunking must be invisible to the costs.
             for chunk in [1usize, 3, 7, 100] {
                 let chunked = rtm_trace::ChunkedSequence::new(&seq, chunk);
@@ -1815,7 +1796,7 @@ mod tests {
     fn accessed_vars_match_first_occurrence_order() {
         let seq = AccessSequence::parse(PAPER_SEQ).unwrap();
         let expect = seq.liveness().by_first_occurrence();
-        let materialized = FitnessEngine::new(&seq, CostModel::single_port());
+        let materialized = FitnessEngine::new(seq.clone(), CostModel::single_port());
         assert_eq!(materialized.accessed_vars(), expect.as_slice());
         let streaming = FitnessEngine::streaming(&seq, CostModel::single_port());
         assert_eq!(streaming.accessed_vars(), expect.as_slice());
@@ -1824,7 +1805,7 @@ mod tests {
     #[test]
     fn seed_is_valid_agrees_with_placement_validate() {
         let seq = AccessSequence::parse(PAPER_SEQ).unwrap();
-        let engine = FitnessEngine::new(&seq, CostModel::single_port());
+        let engine = FitnessEngine::new(seq.clone(), CostModel::single_port());
         let v = VarId::from_index;
         let complete = Placement::from_dbc_lists(paper_placement(&seq));
         let missing = Placement::from_dbc_lists(vec![vec![v(0), v(1)]]);
@@ -1881,7 +1862,7 @@ mod tests {
         let lists = vec![vars];
         for (ports, len) in [(2, 8), (3, 9)] {
             let cost = CostModel::multi_port(ports, len);
-            let engine = FitnessEngine::new(&seq, cost);
+            let engine = FitnessEngine::new(seq.clone(), cost);
             let p = Placement::from_dbc_lists(lists.clone());
             assert_eq!(
                 engine.per_dbc_costs(&lists),

@@ -21,7 +21,7 @@ use crate::error::PlacementError;
 use crate::eval::{DirtyMask, EvalJob, FitnessEngine};
 use crate::inter::{check_fit, Dma, InterHeuristic};
 use crate::placement::Placement;
-use crate::search::{Budget, RaceControl, StopCause};
+use crate::search::{Budget, RaceControl, SearchOutcome, StopCause};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -131,6 +131,22 @@ pub struct GaOutcome {
     pub stop: StopCause,
 }
 
+impl From<GaOutcome> for SearchOutcome {
+    /// The GA run in the common anytime-search form (the history is
+    /// dropped).
+    fn from(out: GaOutcome) -> Self {
+        SearchOutcome {
+            placement: out.best,
+            cost: out.best_cost,
+            evals: out.evaluations as u64,
+            evals_at_best: out.evals_at_best as u64,
+            time_to_best: out.time_to_best,
+            elapsed: out.elapsed,
+            stop: out.stop,
+        }
+    }
+}
+
 /// One individual: per-DBC ordered variable lists plus cached per-DBC and
 /// total fitness (the per-DBC costs are what makes offspring evaluation
 /// incremental — unchanged DBCs inherit them).
@@ -232,7 +248,7 @@ impl GeneticPlacer {
         capacity: usize,
         seeds: &[Placement],
     ) -> Result<GaOutcome, PlacementError> {
-        let engine = FitnessEngine::new(seq, self.cost).with_threads(self.threads);
+        let engine = FitnessEngine::new(seq.clone(), self.cost).with_threads(self.threads);
         self.run_with_engine(&engine, dbcs, capacity, seeds)
     }
 
@@ -251,7 +267,7 @@ impl GeneticPlacer {
     /// Returns [`PlacementError`] if the variables cannot fit the geometry.
     pub fn run_with_engine(
         &self,
-        engine: &FitnessEngine<'_>,
+        engine: &FitnessEngine,
         dbcs: usize,
         capacity: usize,
         seeds: &[Placement],
@@ -354,7 +370,7 @@ impl GeneticPlacer {
     /// Returns [`PlacementError`] if the variables cannot fit the geometry.
     pub fn run_budgeted(
         &self,
-        engine: &FitnessEngine<'_>,
+        engine: &FitnessEngine,
         dbcs: usize,
         capacity: usize,
         seeds: &[Placement],
@@ -444,7 +460,7 @@ impl GeneticPlacer {
     /// external seeds plus random individuals.
     fn initial_jobs(
         &self,
-        engine: &FitnessEngine<'_>,
+        engine: &FitnessEngine,
         dbcs: usize,
         capacity: usize,
         vars: &[VarId],
@@ -875,7 +891,7 @@ mod tests {
         assert!(out.evaluations <= cfg.max_evaluations() + cfg.generations + 2);
     }
 
-    fn indiv(engine: &FitnessEngine<'_>, dbcs: Vec<Vec<VarId>>) -> Individual {
+    fn indiv(engine: &FitnessEngine, dbcs: Vec<Vec<VarId>>) -> Individual {
         let dbc_costs = engine.per_dbc_costs(&dbcs);
         let cost = dbc_costs.iter().sum();
         Individual {
@@ -889,7 +905,7 @@ mod tests {
     fn crossover_preserves_validity() {
         let seq = AccessSequence::parse(PAPER_SEQ).unwrap();
         let vars = seq.liveness().by_first_occurrence();
-        let engine = FitnessEngine::new(&seq, CostModel::single_port());
+        let engine = FitnessEngine::new(seq.clone(), CostModel::single_port());
         let a = indiv(&engine, Dma.distribute(&seq, 3, 4).unwrap());
         let b = indiv(&engine, crate::inter::Afd.distribute(&seq, 3, 4).unwrap());
         let mut rng = ChaCha8Rng::seed_from_u64(1);
@@ -908,7 +924,7 @@ mod tests {
         // always equal a from-scratch evaluation.
         let seq = AccessSequence::parse(PAPER_SEQ).unwrap();
         let vars = seq.liveness().by_first_occurrence();
-        let engine = FitnessEngine::new(&seq, CostModel::single_port());
+        let engine = FitnessEngine::new(seq.clone(), CostModel::single_port());
         let a = indiv(&engine, Dma.distribute(&seq, 3, 4).unwrap());
         let b = indiv(&engine, crate::inter::Afd.distribute(&seq, 3, 4).unwrap());
         let mut rng = ChaCha8Rng::seed_from_u64(17);
@@ -986,14 +1002,14 @@ mod tests {
         out.best.validate(&seq, 3).unwrap();
         // Seeded with DMA, the hierarchical GA can only improve on it.
         let dma = Dma.distribute(&seq, 4, 3).unwrap();
-        let engine = FitnessEngine::new(&seq, CostModel::single_port());
+        let engine = FitnessEngine::new(seq.clone(), CostModel::single_port());
         assert!(out.best_cost <= engine.per_dbc_costs(&dma).iter().sum());
     }
 
     #[test]
     fn subarray_migrate_preserves_validity_and_reports_dirt() {
         let seq = AccessSequence::parse(PAPER_SEQ).unwrap();
-        let engine = FitnessEngine::new(&seq, CostModel::single_port());
+        let engine = FitnessEngine::new(seq.clone(), CostModel::single_port());
         let mut rng = ChaCha8Rng::seed_from_u64(23);
         let mut dbcs = Dma.distribute(&seq, 4, 3).unwrap();
         for _ in 0..100 {

@@ -97,7 +97,7 @@ pub fn search(
 ) -> Result<(Placement, u64), PlacementError> {
     // `batch_costs` replays candidates without consulting the caches;
     // disabling them just skips building unused maps.
-    let engine = FitnessEngine::new(seq, cost).with_memo(false);
+    let engine = FitnessEngine::new(seq.clone(), cost).with_memo(false);
     search_with_engine(&engine, dbcs, capacity, config)
 }
 
@@ -112,7 +112,7 @@ pub fn search(
 ///
 /// Returns [`PlacementError`] if the variables cannot fit the geometry.
 pub fn search_with_engine(
-    engine: &FitnessEngine<'_>,
+    engine: &FitnessEngine,
     dbcs: usize,
     capacity: usize,
     config: RandomWalkConfig,
@@ -141,7 +141,7 @@ pub fn search_with_engine(
 ///
 /// Returns [`PlacementError`] if the variables cannot fit the geometry.
 pub fn run_budgeted(
-    engine: &FitnessEngine<'_>,
+    engine: &FitnessEngine,
     dbcs: usize,
     capacity: usize,
     seed: u64,

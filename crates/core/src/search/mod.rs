@@ -308,7 +308,7 @@ impl SearchState {
     /// total (the incremental evaluation: untouched DBC costs are reused).
     pub fn recost(
         &mut self,
-        engine: &FitnessEngine<'_>,
+        engine: &FitnessEngine,
         scratch: &mut EvalScratch,
         touched: [Option<usize>; 2],
     ) -> u64 {
@@ -495,7 +495,7 @@ impl Neighborhood {
 /// placements evaluated within budget, or a seeded random assignment when
 /// no seed survives. Charges one evaluation per costed candidate.
 pub(crate) fn choose_start(
-    engine: &FitnessEngine<'_>,
+    engine: &FitnessEngine,
     dbcs: usize,
     capacity: usize,
     seeds: &[Placement],
@@ -607,7 +607,7 @@ mod tests {
     #[test]
     fn recost_matches_from_scratch() {
         let seq = AccessSequence::parse(PAPER_SEQ).unwrap();
-        let engine = FitnessEngine::new(&seq, CostModel::single_port());
+        let engine = FitnessEngine::new(seq.clone(), CostModel::single_port());
         let vars = seq.liveness().by_first_occurrence();
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let lists = random_assignment(&vars, 3, 4, &mut rng);
@@ -661,7 +661,7 @@ mod tests {
     #[test]
     fn choose_start_prefers_the_best_valid_seed() {
         let seq = AccessSequence::parse(PAPER_SEQ).unwrap();
-        let engine = FitnessEngine::new(&seq, CostModel::single_port());
+        let engine = FitnessEngine::new(seq.clone(), CostModel::single_port());
         let p = crate::PlacementProblem::new(seq.clone(), 2, 512);
         let good = p.solve(&crate::Strategy::DmaSr).unwrap().placement;
         let bad = p.solve(&crate::Strategy::AfdNative).unwrap().placement;

@@ -335,7 +335,7 @@ impl Portfolio {
     /// incumbent ([`PlacementError::NoSurvivingLane`]).
     pub fn run_with_engine(
         &self,
-        engine: &FitnessEngine<'_>,
+        engine: &FitnessEngine,
         dbcs: usize,
         capacity: usize,
         seeds: &[Placement],
@@ -504,7 +504,7 @@ impl Portfolio {
         &self,
         spec: LaneSpec,
         race: (&RaceControl, usize),
-        engine: &FitnessEngine<'_>,
+        engine: &FitnessEngine,
         dbcs: usize,
         capacity: usize,
         seeds: &[Placement],
@@ -532,15 +532,7 @@ impl Portfolio {
                 let out = GeneticPlacer::new(cfg)
                     .with_subarrays(self.subarrays)
                     .run_budgeted(engine, dbcs, capacity, seeds, budget, race)?;
-                Ok(SearchOutcome {
-                    placement: out.best,
-                    cost: out.best_cost,
-                    evals: out.evaluations as u64,
-                    evals_at_best: out.evals_at_best as u64,
-                    time_to_best: out.time_to_best,
-                    elapsed: out.elapsed,
-                    stop: out.stop,
-                })
+                Ok(out.into())
             }
             LaneSpec::RandomWalk => {
                 random_walk::run_budgeted(engine, dbcs, capacity, seed, budget, race)
@@ -562,10 +554,11 @@ mod tests {
         seq: &AccessSequence,
         dbcs: usize,
         capacity: usize,
-    ) -> (FitnessEngine<'_>, Vec<Placement>) {
+    ) -> (FitnessEngine, Vec<Placement>) {
         let p = PlacementProblem::new(seq.clone(), dbcs, capacity);
         let seeds = vec![p.solve(&Strategy::DmaSr).unwrap().placement];
-        (FitnessEngine::new(seq, CostModel::single_port()), seeds)
+        let engine = FitnessEngine::new(seq.clone(), CostModel::single_port());
+        (engine, seeds)
     }
 
     #[test]
@@ -695,7 +688,7 @@ mod tests {
     #[test]
     fn empty_lanes_are_an_error() {
         let seq = AccessSequence::parse(PAPER_SEQ).unwrap();
-        let engine = FitnessEngine::new(&seq, CostModel::single_port());
+        let engine = FitnessEngine::new(seq.clone(), CostModel::single_port());
         let cfg = PortfolioConfig::quick().with_lanes(vec![]);
         assert!(matches!(
             Portfolio::new(cfg).run_with_engine(&engine, 2, 512, &[]),

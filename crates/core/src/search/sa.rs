@@ -127,7 +127,7 @@ impl SimulatedAnnealing {
     /// Returns [`PlacementError`] if the variables cannot fit the geometry.
     pub fn run_with_engine(
         &self,
-        engine: &FitnessEngine<'_>,
+        engine: &FitnessEngine,
         dbcs: usize,
         capacity: usize,
         seeds: &[Placement],
@@ -143,7 +143,7 @@ impl SimulatedAnnealing {
     /// Returns [`PlacementError`] if the variables cannot fit the geometry.
     pub fn run_in_race(
         &self,
-        engine: &FitnessEngine<'_>,
+        engine: &FitnessEngine,
         dbcs: usize,
         capacity: usize,
         seeds: &[Placement],
@@ -282,10 +282,11 @@ mod tests {
         seq: &AccessSequence,
         dbcs: usize,
         capacity: usize,
-    ) -> (FitnessEngine<'_>, Vec<Placement>) {
+    ) -> (FitnessEngine, Vec<Placement>) {
         let p = PlacementProblem::new(seq.clone(), dbcs, capacity);
         let seeds = vec![p.solve(&Strategy::DmaSr).unwrap().placement];
-        (FitnessEngine::new(seq, CostModel::single_port()), seeds)
+        let engine = FitnessEngine::new(seq.clone(), CostModel::single_port());
+        (engine, seeds)
     }
 
     #[test]
@@ -384,7 +385,7 @@ mod tests {
     fn zero_cost_optimum_stops_early() {
         // One variable: any placement costs 0 shifts after the alignment.
         let seq = AccessSequence::parse("a a a a").unwrap();
-        let engine = FitnessEngine::new(&seq, CostModel::single_port());
+        let engine = FitnessEngine::new(seq.clone(), CostModel::single_port());
         let out = SimulatedAnnealing::new(SaConfig::new(Budget::evals(10_000)))
             .run_with_engine(&engine, 1, 4, &[])
             .unwrap();
@@ -395,7 +396,7 @@ mod tests {
     #[test]
     fn rejects_impossible_geometry() {
         let seq = AccessSequence::parse("a b c d").unwrap();
-        let engine = FitnessEngine::new(&seq, CostModel::single_port());
+        let engine = FitnessEngine::new(seq.clone(), CostModel::single_port());
         assert!(SimulatedAnnealing::new(SaConfig::quick())
             .run_with_engine(&engine, 1, 2, &[])
             .is_err());
@@ -404,7 +405,7 @@ mod tests {
     #[test]
     fn hierarchical_runs_stay_valid() {
         let seq = AccessSequence::parse(PAPER_SEQ).unwrap();
-        let engine = FitnessEngine::new(&seq, CostModel::single_port());
+        let engine = FitnessEngine::new(seq.clone(), CostModel::single_port());
         let out = SimulatedAnnealing::new(SaConfig::new(Budget::evals(800)))
             .with_subarrays(2)
             .run_with_engine(&engine, 4, 3, &[])

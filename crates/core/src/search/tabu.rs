@@ -103,7 +103,7 @@ impl TabuSearch {
     /// Returns [`PlacementError`] if the variables cannot fit the geometry.
     pub fn run_with_engine(
         &self,
-        engine: &FitnessEngine<'_>,
+        engine: &FitnessEngine,
         dbcs: usize,
         capacity: usize,
         seeds: &[Placement],
@@ -119,7 +119,7 @@ impl TabuSearch {
     /// Returns [`PlacementError`] if the variables cannot fit the geometry.
     pub fn run_in_race(
         &self,
-        engine: &FitnessEngine<'_>,
+        engine: &FitnessEngine,
         dbcs: usize,
         capacity: usize,
         seeds: &[Placement],
@@ -272,10 +272,11 @@ mod tests {
         seq: &AccessSequence,
         dbcs: usize,
         capacity: usize,
-    ) -> (FitnessEngine<'_>, Vec<Placement>) {
+    ) -> (FitnessEngine, Vec<Placement>) {
         let p = PlacementProblem::new(seq.clone(), dbcs, capacity);
         let seeds = vec![p.solve(&Strategy::DmaSr).unwrap().placement];
-        (FitnessEngine::new(seq, CostModel::single_port()), seeds)
+        let engine = FitnessEngine::new(seq.clone(), CostModel::single_port());
+        (engine, seeds)
     }
 
     #[test]
@@ -331,7 +332,7 @@ mod tests {
     #[test]
     fn hierarchical_runs_stay_valid() {
         let seq = AccessSequence::parse(PAPER_SEQ).unwrap();
-        let engine = FitnessEngine::new(&seq, CostModel::single_port());
+        let engine = FitnessEngine::new(seq.clone(), CostModel::single_port());
         let out = TabuSearch::new(TabuConfig::new(Budget::evals(800)))
             .with_subarrays(2)
             .run_with_engine(&engine, 4, 3, &[])
@@ -343,7 +344,7 @@ mod tests {
     #[test]
     fn rejects_impossible_geometry() {
         let seq = AccessSequence::parse("a b c d").unwrap();
-        let engine = FitnessEngine::new(&seq, CostModel::single_port());
+        let engine = FitnessEngine::new(seq.clone(), CostModel::single_port());
         assert!(TabuSearch::new(TabuConfig::quick())
             .run_with_engine(&engine, 1, 2, &[])
             .is_err());

@@ -16,7 +16,17 @@
 //! computed once and cached. `PlacementProblem::solve` itself now routes
 //! through a transient one-shot `Session`, so there is exactly one solve
 //! path in the crate — the warm path *is* the cold path, just with caches
-//! already populated.
+//! already populated — and [`Session::solve`] is its only strategy
+//! dispatch.
+//!
+//! # Streamed traces
+//!
+//! A session over a [`PlacementProblem::streamed`] problem builds a
+//! streaming engine over the trace's compressed index; the trace is never
+//! materialized. Such a session has no sequence, so it has no heuristic
+//! seeds (its searches start from random placements), its heuristic
+//! strategies fail with [`PlacementError::NeedsMaterializedTrace`], and its
+//! final per-DBC costing runs on the warm engine.
 //!
 //! # Warm ≡ cold bit-identity
 //!
@@ -45,11 +55,12 @@
 use crate::error::PlacementError;
 use crate::eval::{EngineStats, FitnessEngine};
 use crate::ga::GeneticPlacer;
+use crate::intra::{Chen, Ofu, ShiftsReduce};
 use crate::placement::Placement;
 use crate::pool::WorkerPool;
 use crate::random_walk;
-use crate::search::{Portfolio, SimulatedAnnealing, StopCause, TabuSearch};
-use crate::strategy::{PlacementProblem, Solution, Strategy};
+use crate::search::{Budget, Portfolio, SearchOutcome, SimulatedAnnealing, StopCause, TabuSearch};
+use crate::strategy::{PlacementProblem, Solution, Strategy, Trace};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -63,7 +74,7 @@ pub struct Session {
     /// instead of a private per-engine pool.
     shared_pool: Option<Arc<WorkerPool>>,
     /// The warm engine, built on the first solve that needs one.
-    engine: OnceLock<FitnessEngine<'static>>,
+    engine: OnceLock<FitnessEngine>,
     /// The heuristic seed placements, computed once per session.
     seeds: OnceLock<Vec<Placement>>,
     solves: AtomicU64,
@@ -103,12 +114,17 @@ impl Session {
     }
 
     /// The session's warm engine, building it on first use.
-    pub fn engine(&self) -> &FitnessEngine<'static> {
+    pub fn engine(&self) -> &FitnessEngine {
         self.engine.get_or_init(|| {
-            let engine =
-                FitnessEngine::shared(self.problem.seq_shared(), self.problem.cost_model())
-                    .with_threads(self.problem.threads())
-                    .with_shards(self.problem.shards());
+            let cost = self.problem.cost_model();
+            let engine = match self.problem.trace() {
+                Trace::Sequence(seq) => FitnessEngine::new(Arc::clone(seq), cost),
+                Trace::Streamed(index) => {
+                    FitnessEngine::from_compact_index(Arc::clone(index), cost)
+                }
+            }
+            .with_threads(self.problem.threads())
+            .with_shards(self.problem.shards());
             match &self.shared_pool {
                 Some(pool) => engine.with_worker_pool(pool.clone()),
                 None => engine,
@@ -144,7 +160,8 @@ impl Session {
         }
     }
 
-    /// Solves the problem with `strategy` on the warm engine.
+    /// Solves the problem with `strategy` on the warm engine — the one
+    /// strategy dispatch of the crate.
     ///
     /// Bit-identical to a cold `PlacementProblem::solve` of the same
     /// query; repeat queries do strictly less evaluation work (see the
@@ -153,123 +170,119 @@ impl Session {
     /// # Errors
     ///
     /// Returns [`PlacementError`] when the variables cannot fit the
-    /// geometry (`vars > q × N`).
+    /// geometry (`vars > q × N`), or
+    /// [`PlacementError::NeedsMaterializedTrace`] for a heuristic strategy
+    /// on a streamed problem.
     pub fn solve(&self, strategy: &Strategy) -> Result<Solution, PlacementError> {
-        let mut evals_consumed = 0u64;
-        let mut time_to_best = Duration::ZERO;
-        let mut elapsed = Duration::ZERO;
-        let mut stop = StopCause::Finished;
-        let mut lanes = Vec::new();
-        let mut engine_stats = EngineStats::default();
         let problem = &self.problem;
-        let placement = match strategy {
+        let (dbcs, capacity, subarrays) = (problem.dbcs(), problem.capacity(), problem.subarrays());
+        let seq = || {
+            problem.seq().ok_or(PlacementError::NeedsMaterializedTrace {
+                strategy: strategy.name(),
+            })
+        };
+        let before = self.engine_stats();
+        // Per-solve engine work; the heuristics report all-zero stats.
+        let searched = |out: SearchOutcome| Solution {
+            engine_stats: self.engine_stats().since(&before),
+            ..unscored_search(out)
+        };
+        let mut sol = match strategy {
             // The deterministic heuristics never evaluate fitness: they run
             // straight off the trace and must not force an engine build.
-            Strategy::AfdNative
-            | Strategy::AfdOfu
-            | Strategy::DmaNative
-            | Strategy::DmaOfu
-            | Strategy::DmaChen
-            | Strategy::DmaSr
-            | Strategy::DmaMultiSr => problem.solve_heuristic(strategy)?,
+            Strategy::AfdNative => unscored(problem.afd(seq()?, None)?),
+            Strategy::AfdOfu => unscored(problem.afd(seq()?, Some(&Ofu))?),
+            Strategy::DmaNative => unscored(problem.dma(seq()?, None)?),
+            Strategy::DmaOfu => unscored(problem.dma(seq()?, Some(&Ofu))?),
+            Strategy::DmaChen => unscored(problem.dma(seq()?, Some(&Chen))?),
+            Strategy::DmaSr => unscored(problem.dma(seq()?, Some(&ShiftsReduce::new()))?),
+            Strategy::DmaMultiSr => unscored(problem.dma_multi(seq()?, &ShiftsReduce::new())?),
             Strategy::Ga(cfg) => {
                 let seeds = self.heuristic_seeds();
-                let engine = self.engine();
-                let before = engine.stats();
                 let out = GeneticPlacer::new(*cfg)
-                    .with_subarrays(problem.subarrays())
-                    .run_with_engine(engine, problem.dbcs(), problem.capacity(), seeds)?;
-                evals_consumed = out.evaluations as u64;
-                time_to_best = out.time_to_best;
-                elapsed = out.elapsed;
-                stop = out.stop;
-                engine_stats = engine.stats().since(&before);
-                out.best
+                    .with_subarrays(subarrays)
+                    .run_with_engine(self.engine(), dbcs, capacity, seeds)?;
+                searched(out.into())
             }
             Strategy::RandomWalk(cfg) => {
                 // The random walk's batch path never consults the caches,
                 // so running it on the shared warm engine (memo enabled)
                 // is bit-identical to the historical memo-less engine.
+                let budget = Budget::evals(cfg.iterations as u64);
                 let engine = self.engine();
-                let before = engine.stats();
-                let out = random_walk::run_budgeted(
-                    engine,
-                    problem.dbcs(),
-                    problem.capacity(),
-                    cfg.seed,
-                    crate::search::Budget::evals(cfg.iterations as u64),
-                    None,
-                )?;
-                evals_consumed = out.evals;
-                time_to_best = out.time_to_best;
-                elapsed = out.elapsed;
-                stop = out.stop;
-                engine_stats = engine.stats().since(&before);
-                out.placement
+                searched(random_walk::run_budgeted(
+                    engine, dbcs, capacity, cfg.seed, budget, None,
+                )?)
             }
             Strategy::Sa(cfg) => {
                 let seeds = self.heuristic_seeds();
-                let engine = self.engine();
-                let before = engine.stats();
-                let out = SimulatedAnnealing::new(*cfg)
-                    .with_subarrays(problem.subarrays())
-                    .run_with_engine(engine, problem.dbcs(), problem.capacity(), seeds)?;
-                evals_consumed = out.evals;
-                time_to_best = out.time_to_best;
-                elapsed = out.elapsed;
-                stop = out.stop;
-                engine_stats = engine.stats().since(&before);
-                out.placement
+                searched(
+                    SimulatedAnnealing::new(*cfg)
+                        .with_subarrays(subarrays)
+                        .run_with_engine(self.engine(), dbcs, capacity, seeds)?,
+                )
             }
             Strategy::Tabu(cfg) => {
                 let seeds = self.heuristic_seeds();
-                let engine = self.engine();
-                let before = engine.stats();
-                let out = TabuSearch::new(*cfg)
-                    .with_subarrays(problem.subarrays())
-                    .run_with_engine(engine, problem.dbcs(), problem.capacity(), seeds)?;
-                evals_consumed = out.evals;
-                time_to_best = out.time_to_best;
-                elapsed = out.elapsed;
-                stop = out.stop;
-                engine_stats = engine.stats().since(&before);
-                out.placement
+                searched(
+                    TabuSearch::new(*cfg)
+                        .with_subarrays(subarrays)
+                        .run_with_engine(self.engine(), dbcs, capacity, seeds)?,
+                )
             }
             Strategy::Portfolio(cfg) => {
                 let seeds = self.heuristic_seeds();
-                let engine = self.engine();
-                let before = engine.stats();
                 let out = Portfolio::new(cfg.clone())
-                    .with_subarrays(problem.subarrays())
-                    .run_with_engine(engine, problem.dbcs(), problem.capacity(), seeds)?;
-                evals_consumed = out.total_evals;
-                time_to_best = out.best().time_to_best;
-                elapsed = out.elapsed;
-                stop = out.best().stop;
-                lanes = out.lane_reports();
-                engine_stats = engine.stats().since(&before);
-                out.best().placement.clone()
+                    .with_subarrays(subarrays)
+                    .run_with_engine(self.engine(), dbcs, capacity, seeds)?;
+                Solution {
+                    evals_consumed: out.total_evals,
+                    elapsed: out.elapsed,
+                    lanes: out.lane_reports(),
+                    ..searched(out.best().clone())
+                }
             }
         };
         // One-shot final costing: the direct cost-model pass costs the same
         // as one engine evaluation without forcing an engine build on the
-        // heuristic-only path.
-        let per_dbc_shifts = problem
-            .cost_model()
-            .per_dbc_costs(&placement, problem.seq().accesses());
-        let shifts = per_dbc_shifts.iter().sum();
+        // heuristic-only path. A streamed trace has no sequence to replay,
+        // so its warm engine costs the placement (bit-identically).
+        sol.per_dbc_shifts = match problem.seq() {
+            Some(seq) => problem
+                .cost_model()
+                .per_dbc_costs(&sol.placement, seq.accesses()),
+            None => self.engine().per_dbc_costs(sol.placement.dbc_lists()),
+        };
+        sol.shifts = sol.per_dbc_shifts.iter().sum();
         self.solves.fetch_add(1, Ordering::Relaxed);
-        Ok(Solution {
-            placement,
-            shifts,
-            per_dbc_shifts,
-            evals_consumed,
-            time_to_best,
-            elapsed,
-            stop,
-            lanes,
-            engine_stats,
-        })
+        Ok(sol)
+    }
+}
+
+/// A solution of `placement` with no search telemetry (what the
+/// deterministic heuristics report), before [`Session::solve`] costs it.
+fn unscored(placement: Placement) -> Solution {
+    Solution {
+        placement,
+        shifts: 0,
+        per_dbc_shifts: Vec::new(),
+        evals_consumed: 0,
+        time_to_best: Duration::ZERO,
+        elapsed: Duration::ZERO,
+        stop: StopCause::Finished,
+        lanes: Vec::new(),
+        engine_stats: EngineStats::default(),
+    }
+}
+
+/// [`unscored`] with a search run's telemetry.
+fn unscored_search(out: SearchOutcome) -> Solution {
+    Solution {
+        evals_consumed: out.evals,
+        time_to_best: out.time_to_best,
+        elapsed: out.elapsed,
+        stop: out.stop,
+        ..unscored(out.placement)
     }
 }
 

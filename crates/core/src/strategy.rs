@@ -3,12 +3,12 @@ use crate::error::PlacementError;
 use crate::eval::{EngineStats, FitnessEngine};
 use crate::ga::GaConfig;
 use crate::inter::{Afd, Dma, InterHeuristic};
-use crate::intra::{Chen, IntraHeuristic, Ofu, ShiftsReduce};
+use crate::intra::IntraHeuristic;
 use crate::placement::Placement;
 use crate::random_walk::RandomWalkConfig;
 use crate::search::{LaneReport, PortfolioConfig, SaConfig, StopCause, TabuConfig};
 use rtm_arch::ArrayGeometry;
-use rtm_trace::{AccessSequence, VarId};
+use rtm_trace::{AccessSequence, AccessStream, CompactPositionIndex, VarId};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -298,8 +298,8 @@ impl Solution {
 #[derive(Debug, Clone)]
 pub struct PlacementProblem {
     /// The trace, shared: cloning a problem (or handing it to a
-    /// [`Session`](crate::Session)) never copies the access sequence.
-    seq: Arc<AccessSequence>,
+    /// [`Session`](crate::Session)) never copies it.
+    trace: Trace,
     dbcs: usize,
     capacity: usize,
     cost: CostModel,
@@ -308,6 +308,16 @@ pub struct PlacementProblem {
     shards: usize,
     /// Subarray count of the hierarchical form; `1` = today's flat problem.
     subarrays: usize,
+}
+
+/// A problem's trace: the materialized sequence, or — for a streamed
+/// problem — only the compressed position index one streaming pass built.
+#[derive(Debug, Clone)]
+pub(crate) enum Trace {
+    /// An in-memory access sequence (every strategy can run on it).
+    Sequence(Arc<AccessSequence>),
+    /// A streamed trace's index (search strategies only).
+    Streamed(Arc<CompactPositionIndex>),
 }
 
 impl PlacementProblem {
@@ -322,7 +332,7 @@ impl PlacementProblem {
     /// one parsed [`AccessSequence`] without copying it.
     pub fn shared(seq: Arc<AccessSequence>, dbcs: usize, capacity: usize) -> Self {
         Self {
-            seq,
+            trace: Trace::Sequence(seq),
             dbcs,
             capacity,
             cost: CostModel::single_port(),
@@ -345,13 +355,23 @@ impl PlacementProblem {
     /// to the searchers (the GA's subarray-migrate operator) and to
     /// per-subarray reporting.
     pub fn for_array(seq: AccessSequence, array: &ArrayGeometry) -> Self {
-        Self::for_array_shared(Arc::new(seq), array)
+        Self::with_trace(Trace::Sequence(Arc::new(seq)), array)
     }
 
-    /// [`for_array`](Self::for_array) over an already-shared trace.
-    pub fn for_array_shared(seq: Arc<AccessSequence>, array: &ArrayGeometry) -> Self {
+    /// The problem of an [`ArrayGeometry`] over a **streamed** trace: the
+    /// stream is indexed once (two chunked passes into a
+    /// [`CompactPositionIndex`]) and never materialized. A
+    /// [`Session`](crate::Session) over it runs the search strategies in
+    /// bounded memory; it has no heuristic seeds, and the heuristic
+    /// strategies fail with [`PlacementError::NeedsMaterializedTrace`].
+    pub fn streamed(src: &dyn AccessStream, array: &ArrayGeometry) -> Self {
+        let index = CompactPositionIndex::from_stream(src);
+        Self::with_trace(Trace::Streamed(Arc::new(index)), array)
+    }
+
+    fn with_trace(trace: Trace, array: &ArrayGeometry) -> Self {
         Self {
-            seq,
+            trace,
             dbcs: array.total_dbcs(),
             capacity: array.locations_per_dbc(),
             cost: CostModel::for_array(array),
@@ -400,23 +420,18 @@ impl PlacementProblem {
         self
     }
 
-    /// The fitness engine for this problem's trace and cost model.
-    pub fn engine(&self) -> FitnessEngine<'_> {
-        FitnessEngine::new(&self.seq, self.cost)
-            .with_threads(self.threads)
-            .with_shards(self.shards)
+    /// The materialized trace, or `None` for a
+    /// [`streamed`](Self::streamed) problem.
+    pub fn seq(&self) -> Option<&AccessSequence> {
+        match &self.trace {
+            Trace::Sequence(seq) => Some(seq),
+            Trace::Streamed(_) => None,
+        }
     }
 
-    /// The trace.
-    pub fn seq(&self) -> &AccessSequence {
-        &self.seq
-    }
-
-    /// The trace's shared handle (cheap clone; no sequence copy). This is
-    /// what lets a [`Session`](crate::Session) build an engine that *owns*
-    /// its trace and therefore outlives any particular borrow.
-    pub fn seq_shared(&self) -> Arc<AccessSequence> {
-        Arc::clone(&self.seq)
+    /// The trace a [`Session`](crate::Session) builds its engine over.
+    pub(crate) fn trace(&self) -> &Trace {
+        &self.trace
     }
 
     /// The configured engine worker count (`0` = auto-detect).
@@ -460,10 +475,18 @@ impl PlacementProblem {
     /// [`FitnessEngine`] would cost as much as the evaluation itself, and
     /// the direct path keeps the historical semantics for placements that
     /// would not pass [`Placement::validate`] (e.g. duplicated variables,
-    /// where the location table's last occurrence wins). Callers
-    /// evaluating many placements should hold an [`engine`](Self::engine).
+    /// where the location table's last occurrence wins). A streamed
+    /// problem has no sequence to replay, so it costs through a one-off
+    /// streaming engine. Callers evaluating many placements should hold a
+    /// [`Session`](crate::Session) and its engine.
     pub fn evaluate(&self, placement: &Placement) -> u64 {
-        self.cost.shift_cost(placement, self.seq.accesses())
+        match &self.trace {
+            Trace::Sequence(seq) => self.cost.shift_cost(placement, seq.accesses()),
+            Trace::Streamed(index) => {
+                FitnessEngine::from_compact_index(Arc::clone(index), self.cost)
+                    .shift_cost(placement)
+            }
+        }
     }
 
     /// Solves the problem with `strategy`.
@@ -478,39 +501,6 @@ impl PlacementProblem {
         // behind an `Arc`), and a search strategy builds its engine inside
         // the transient session exactly as the old inline code did.
         crate::session::Session::new(self.clone()).solve(strategy)
-    }
-
-    /// Solves one of the deterministic heuristic strategies — the arms of
-    /// the solve match that never evaluate fitness and so must not force a
-    /// [`Session`](crate::Session) to build its engine.
-    ///
-    /// Calling it with a search strategy is a caller bug (the session's
-    /// solve match is the only caller and routes those to the engine path).
-    pub(crate) fn solve_heuristic(&self, strategy: &Strategy) -> Result<Placement, PlacementError> {
-        match strategy {
-            Strategy::AfdNative => Ok(Placement::from_dbc_lists(Afd.distribute(
-                &self.seq,
-                self.dbcs,
-                self.capacity,
-            )?)),
-            Strategy::AfdOfu => self.afd_with_intra(&Ofu),
-            Strategy::DmaNative => Ok(Placement::from_dbc_lists(Dma.distribute(
-                &self.seq,
-                self.dbcs,
-                self.capacity,
-            )?)),
-            Strategy::DmaOfu => self.dma_with_intra(&Ofu),
-            Strategy::DmaChen => self.dma_with_intra(&Chen),
-            Strategy::DmaSr => self.dma_with_intra(&ShiftsReduce::new()),
-            Strategy::DmaMultiSr => self.dma_multi_with_intra(&ShiftsReduce::new()),
-            Strategy::Ga(_)
-            | Strategy::RandomWalk(_)
-            | Strategy::Sa(_)
-            | Strategy::Tabu(_)
-            | Strategy::Portfolio(_) => {
-                unreachable!("{strategy} is a search strategy, not a heuristic")
-            }
-        }
     }
 
     /// The four composite-heuristic solutions, used to seed every search
@@ -536,39 +526,56 @@ impl PlacementProblem {
         scored.into_iter().map(|(_, p)| p).collect()
     }
 
-    /// AFD distribution, then an intra heuristic on every DBC.
-    fn afd_with_intra(&self, intra: &dyn IntraHeuristic) -> Result<Placement, PlacementError> {
-        let dist = Afd.distribute(&self.seq, self.dbcs, self.capacity)?;
-        Ok(self.apply_intra(dist, intra, 0))
+    /// AFD distribution, then (unless `intra` is `None`, the native deal
+    /// order) an intra heuristic on every DBC.
+    pub(crate) fn afd(
+        &self,
+        seq: &AccessSequence,
+        intra: Option<&dyn IntraHeuristic>,
+    ) -> Result<Placement, PlacementError> {
+        let dist = Afd.distribute(seq, self.dbcs, self.capacity)?;
+        Ok(match intra {
+            Some(intra) => Self::apply_intra(seq, dist, intra, 0),
+            None => Placement::from_dbc_lists(dist),
+        })
     }
 
-    /// DMA distribution; intra heuristic on the non-disjoint DBCs only
-    /// (lines 22–23 of Algorithm 1 — disjoint DBCs keep access order).
-    fn dma_with_intra(&self, intra: &dyn IntraHeuristic) -> Result<Placement, PlacementError> {
-        let dist = Dma.distribute(&self.seq, self.dbcs, self.capacity)?;
-        let part = Dma.partition(&self.seq);
+    /// DMA distribution, then (unless `intra` is `None`, the native orders)
+    /// an intra heuristic on the non-disjoint DBCs only (lines 22–23 of
+    /// Algorithm 1 — disjoint DBCs keep access order).
+    pub(crate) fn dma(
+        &self,
+        seq: &AccessSequence,
+        intra: Option<&dyn IntraHeuristic>,
+    ) -> Result<Placement, PlacementError> {
+        let dist = Dma.distribute(seq, self.dbcs, self.capacity)?;
+        let Some(intra) = intra else {
+            return Ok(Placement::from_dbc_lists(dist));
+        };
+        let part = Dma.partition(seq);
         let k = dist
             .iter()
             .take_while(|l| l.first().is_some_and(|v| part.disjoint.contains(v)))
             .count();
-        Ok(self.apply_intra(dist, intra, k))
+        Ok(Self::apply_intra(seq, dist, intra, k))
     }
 
     /// Multi-chain DMA distribution; intra heuristic on the leftover DBCs
     /// only (chain DBCs keep their access order).
-    fn dma_multi_with_intra(
+    pub(crate) fn dma_multi(
         &self,
+        seq: &AccessSequence,
         intra: &dyn IntraHeuristic,
     ) -> Result<Placement, PlacementError> {
         let multi = crate::inter::DmaMulti::new();
-        let dist = multi.distribute(&self.seq, self.dbcs, self.capacity)?;
-        let k = multi.chain_dbc_count(&self.seq, self.dbcs, self.capacity)?;
-        Ok(self.apply_intra(dist, intra, k))
+        let dist = multi.distribute(seq, self.dbcs, self.capacity)?;
+        let k = multi.chain_dbc_count(seq, self.dbcs, self.capacity)?;
+        Ok(Self::apply_intra(seq, dist, intra, k))
     }
 
     /// Reorders DBCs `skip..` of `dist` with `intra`.
     fn apply_intra(
-        &self,
+        seq: &AccessSequence,
         mut dist: Vec<Vec<VarId>>,
         intra: &dyn IntraHeuristic,
         skip: usize,
@@ -577,7 +584,7 @@ impl PlacementProblem {
             if list.len() < 2 {
                 continue;
             }
-            let sub = self.seq.restrict_to(|v| list.contains(&v));
+            let sub = seq.restrict_to(|v| list.contains(&v));
             *list = intra.order(list, &sub);
         }
         Placement::from_dbc_lists(dist)
@@ -621,7 +628,9 @@ mod tests {
         let p = problem(2);
         for s in Strategy::evaluation_set(GaConfig::quick(), RandomWalkConfig::quick()) {
             let sol = p.solve(&s).unwrap();
-            sol.placement.validate(p.seq(), p.capacity()).unwrap();
+            sol.placement
+                .validate(p.seq().unwrap(), p.capacity())
+                .unwrap();
             assert_eq!(sol.shifts, p.evaluate(&sol.placement));
         }
     }
@@ -771,7 +780,9 @@ mod tests {
             Strategy::Portfolio(PortfolioConfig::new(b)),
         ] {
             let sol = p.solve(&s).unwrap();
-            sol.placement.validate(p.seq(), p.capacity()).unwrap();
+            sol.placement
+                .validate(p.seq().unwrap(), p.capacity())
+                .unwrap();
             assert_eq!(sol.shifts, p.evaluate(&sol.placement), "{s}");
             assert!(
                 sol.shifts <= best_heuristic,

@@ -26,10 +26,11 @@ fn engine_and_seeds(
     seq: &AccessSequence,
     dbcs: usize,
     capacity: usize,
-) -> (FitnessEngine<'_>, Vec<Placement>) {
+) -> (FitnessEngine, Vec<Placement>) {
     let p = PlacementProblem::new(seq.clone(), dbcs, capacity);
     let seeds = vec![p.solve(&Strategy::DmaSr).unwrap().placement];
-    (FitnessEngine::new(seq, CostModel::single_port()), seeds)
+    let engine = FitnessEngine::new(seq.clone(), CostModel::single_port());
+    (engine, seeds)
 }
 
 /// Panicking the GA and RW lanes leaves SA and tabu: the portfolio's best

@@ -75,12 +75,12 @@ proptest! {
         };
         let placement = Placement::from_dbc_lists(lists.clone());
         let expect = cost.per_dbc_costs(&placement, seq.accesses());
-        let engine = FitnessEngine::new(&seq, cost);
+        let engine = FitnessEngine::new(seq.clone(), cost);
         prop_assert_eq!(engine.per_dbc_costs(&lists), expect.clone());
         // A second pass answers from the caches — still identical.
         prop_assert_eq!(engine.per_dbc_costs(&lists), expect.clone());
         // The naive reference engine replicates the pre-engine path.
-        let naive = FitnessEngine::naive(&seq, cost);
+        let naive = FitnessEngine::reference(seq.clone(), cost);
         prop_assert_eq!(naive.per_dbc_costs(&lists), expect);
     }
 
@@ -107,7 +107,7 @@ proptest! {
             candidates.push(c);
         }
         let cost = CostModel::single_port();
-        let engine = FitnessEngine::new(&seq, cost).with_memo(false);
+        let engine = FitnessEngine::new(seq.clone(), cost).with_memo(false);
         let costs = engine.batch_costs(&candidates);
         for (lists, got) in candidates.iter().zip(costs) {
             let p = Placement::from_dbc_lists(lists.clone());
@@ -128,7 +128,7 @@ proptest! {
         edit_j in 0usize..16,
     ) {
         let lists = placement_from(&dbc_of, &order, seq.vars().len(), dbcs);
-        let engine = FitnessEngine::new(&seq, CostModel::single_port());
+        let engine = FitnessEngine::new(seq.clone(), CostModel::single_port());
         let base_costs = engine.per_dbc_costs(&lists);
         let mut job = EvalJob::derived(lists, base_costs);
         let d = edit_dbc % dbcs;
@@ -138,7 +138,7 @@ proptest! {
             job.dirty.mark(d);
         }
         engine.evaluate_batch(std::slice::from_mut(&mut job));
-        let reference = FitnessEngine::naive(&seq, CostModel::single_port());
+        let reference = FitnessEngine::reference(seq.clone(), CostModel::single_port());
         prop_assert_eq!(&job.dbc_costs, &reference.per_dbc_costs(&job.lists));
     }
 
@@ -159,9 +159,9 @@ proptest! {
         let lists = placement_from(&dbc_of, &order, seq.vars().len(), dbcs);
         let track = lists.iter().map(Vec::len).max().unwrap_or(1).max(ports);
         let cost = CostModel::multi_port(ports, track);
-        let seq_engine = FitnessEngine::new(&seq, cost).with_threads(1);
-        let par_engine = FitnessEngine::new(&seq, cost).with_threads(4);
-        let naive = FitnessEngine::naive(&seq, cost);
+        let seq_engine = FitnessEngine::new(seq.clone(), cost).with_threads(1);
+        let par_engine = FitnessEngine::new(seq.clone(), cost).with_threads(4);
+        let naive = FitnessEngine::reference(seq.clone(), cost);
         let mut current = lists;
         let mut costs = seq_engine.per_dbc_costs(&current);
         prop_assert_eq!(&costs, &naive.per_dbc_costs(&current));
@@ -212,9 +212,9 @@ proptest! {
                 c
             })
             .collect();
-        let one = FitnessEngine::new(&seq, cost).with_memo(false).with_threads(1);
-        let four = FitnessEngine::new(&seq, cost).with_memo(false).with_threads(4);
-        let naive = FitnessEngine::naive(&seq, cost);
+        let one = FitnessEngine::new(seq.clone(), cost).with_memo(false).with_threads(1);
+        let four = FitnessEngine::new(seq.clone(), cost).with_memo(false).with_threads(4);
+        let naive = FitnessEngine::reference(seq.clone(), cost);
         let a = one.batch_costs(&candidates);
         let b = four.batch_costs(&candidates);
         prop_assert_eq!(&a, &b);
@@ -253,11 +253,16 @@ proptest! {
         } else {
             CostModel::multi_port(ports, track)
         };
-        let materialized = FitnessEngine::new(&seq, cost).with_threads(workers);
+        let materialized = FitnessEngine::new(seq.clone(), cost).with_threads(workers);
         let chunked = ChunkedSequence::new(&seq, chunk);
         let streaming = FitnessEngine::streaming(&chunked, cost).with_threads(workers);
         prop_assert_eq!(streaming.accessed_vars(), materialized.accessed_vars());
         prop_assert_eq!(streaming.per_dbc_costs(&lists), materialized.per_dbc_costs(&lists));
+        // The oracle: `CostModel` replay of the same placement.
+        let replay = |l: &[Vec<VarId>]| {
+            cost.per_dbc_costs(&Placement::from_dbc_lists(l.to_vec()), seq.accesses())
+        };
+        prop_assert_eq!(streaming.per_dbc_costs(&lists), replay(&lists));
         // Second pass answers from the streaming memo — still identical.
         prop_assert_eq!(streaming.per_dbc_costs(&lists), materialized.per_dbc_costs(&lists));
         // Batch replay over rotated variants.
@@ -276,6 +281,8 @@ proptest! {
             streaming.batch_costs(&candidates),
             materialized.batch_costs(&candidates)
         );
+        let replayed: Vec<u64> = candidates.iter().map(|c| replay(c).iter().sum()).collect();
+        prop_assert_eq!(streaming.batch_costs(&candidates), replayed);
     }
 
     /// A random walk driven through a streaming engine returns the same
@@ -290,14 +297,16 @@ proptest! {
         let capacity = seq.vars().len().max(2);
         let cfg = RandomWalkConfig { iterations: 200, seed };
         let materialized =
-            FitnessEngine::new(&seq, CostModel::single_port()).with_memo(false);
+            FitnessEngine::new(seq.clone(), CostModel::single_port()).with_memo(false);
         let a = random_walk::search_with_engine(&materialized, dbcs, capacity, cfg).unwrap();
         let chunked = ChunkedSequence::new(&seq, chunk);
         let streaming =
             FitnessEngine::streaming(&chunked, CostModel::single_port()).with_memo(false);
         let b = random_walk::search_with_engine(&streaming, dbcs, capacity, cfg).unwrap();
         prop_assert_eq!(a.1, b.1);
-        prop_assert_eq!(a.0, b.0);
+        prop_assert_eq!(&a.0, &b.0);
+        // The oracle: `CostModel` replay of the returned placement.
+        prop_assert_eq!(b.1, CostModel::single_port().shift_cost(&b.0, seq.accesses()));
     }
 
     /// The GA (heuristic seeding off — heuristics need the materialized
@@ -320,7 +329,7 @@ proptest! {
         }
         .with_seed(seed);
         let placer = GeneticPlacer::new(cfg);
-        let materialized = FitnessEngine::new(&seq, CostModel::single_port());
+        let materialized = FitnessEngine::new(seq.clone(), CostModel::single_port());
         let a = placer.run_with_engine(&materialized, dbcs, capacity, &[]).unwrap();
         let chunked = ChunkedSequence::new(&seq, chunk);
         let streaming = FitnessEngine::streaming(&chunked, CostModel::single_port());
@@ -329,6 +338,11 @@ proptest! {
         prop_assert_eq!(a.best_cost, b.best_cost);
         prop_assert_eq!(&a.best, &b.best);
         prop_assert_eq!(a.evaluations, b.evaluations);
+        // The oracle: `CostModel` replay of the best placement.
+        prop_assert_eq!(
+            b.best_cost,
+            CostModel::single_port().shift_cost(&b.best, seq.accesses())
+        );
     }
 
     /// Same seed ⇒ identical GA outcome regardless of evaluator mode or
@@ -348,11 +362,11 @@ proptest! {
         }
         .with_seed(seed);
         let placer = GeneticPlacer::new(cfg);
-        let naive = FitnessEngine::naive(&seq, CostModel::single_port());
+        let naive = FitnessEngine::reference(seq.clone(), CostModel::single_port());
         let a = placer.run_with_engine(&naive, dbcs, capacity, &[]).unwrap();
-        let engine = FitnessEngine::new(&seq, CostModel::single_port());
+        let engine = FitnessEngine::new(seq.clone(), CostModel::single_port());
         let b = placer.run_with_engine(&engine, dbcs, capacity, &[]).unwrap();
-        let par = FitnessEngine::new(&seq, CostModel::single_port()).with_threads(4);
+        let par = FitnessEngine::new(seq.clone(), CostModel::single_port()).with_threads(4);
         let c = placer.run_with_engine(&par, dbcs, capacity, &[]).unwrap();
         prop_assert_eq!(&a.history, &b.history);
         prop_assert_eq!(&a.history, &c.history);
@@ -370,7 +384,7 @@ fn paper_example_costs_through_engine() {
         ["b", "c", "d", "e", "h"].map(id).to_vec(),
         ["a", "f", "g", "i"].map(id).to_vec(),
     ];
-    let engine = FitnessEngine::new(&seq, CostModel::single_port());
+    let engine = FitnessEngine::new(seq.clone(), CostModel::single_port());
     assert_eq!(engine.per_dbc_costs(&lists), vec![4, 7]); // Fig. 3(d)
 }
 
@@ -454,10 +468,10 @@ fn random_walk_is_thread_invariant() {
         iterations: 600,
         seed: 9,
     };
-    let one = FitnessEngine::new(&seq, CostModel::single_port())
+    let one = FitnessEngine::new(seq.clone(), CostModel::single_port())
         .with_memo(false)
         .with_threads(1);
-    let four = FitnessEngine::new(&seq, CostModel::single_port())
+    let four = FitnessEngine::new(seq.clone(), CostModel::single_port())
         .with_memo(false)
         .with_threads(4);
     let a = random_walk::search_with_engine(&one, 3, 8, cfg).unwrap();
@@ -484,7 +498,7 @@ fn ga_is_worker_count_invariant_on_multi_port_arrays() {
         let cost = CostModel::multi_port(ports, track);
         let mut baseline = None;
         for workers in [1usize, 2, 8] {
-            let engine = FitnessEngine::new(&seq, cost).with_threads(workers);
+            let engine = FitnessEngine::new(seq.clone(), cost).with_threads(workers);
             let out = GeneticPlacer::new(cfg)
                 .with_cost_model(cost)
                 .with_subarrays(subarrays)

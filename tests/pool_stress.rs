@@ -251,7 +251,7 @@ mod sharded_cache_poison_storm {
         let variants = variants(&seq, dbcs);
 
         // Golden totals from a serial, single-shard, never-poisoned engine.
-        let clean = FitnessEngine::new(&seq, cost)
+        let clean = FitnessEngine::new(seq.clone(), cost)
             .with_threads(1)
             .with_shards(1);
         let mut jobs: Vec<EvalJob> = variants.iter().map(|v| EvalJob::fresh(v.clone())).collect();
@@ -259,7 +259,7 @@ mod sharded_cache_poison_storm {
         let want: Vec<u64> = jobs.iter().map(EvalJob::total).collect();
         let want_direct = clean.per_dbc_costs(&variants[0]);
 
-        let engine = FitnessEngine::new(&seq, cost)
+        let engine = FitnessEngine::new(seq.clone(), cost)
             .with_threads(4)
             .with_shards(8);
         assert_eq!(engine.shard_count(), 8);

@@ -269,7 +269,7 @@ proptest! {
         variants.push(rotated);
 
         // Serial baseline: direct costs (cold + cached repeat) and batch.
-        let baseline = FitnessEngine::new(&seq, cost).with_threads(1).with_shards(1);
+        let baseline = FitnessEngine::new(seq.clone(), cost).with_threads(1).with_shards(1);
         let want: Vec<Vec<u64>> = variants.iter().map(|v| baseline.per_dbc_costs(v)).collect();
         let again: Vec<Vec<u64>> = variants.iter().map(|v| baseline.per_dbc_costs(v)).collect();
         prop_assert_eq!(&want, &again, "baseline cache changed a cost");
@@ -280,7 +280,7 @@ proptest! {
 
         for &shards in &[1usize, 2, 8] {
             for &workers in &[1usize, 2, 8] {
-                let engine = FitnessEngine::new(&seq, cost)
+                let engine = FitnessEngine::new(seq.clone(), cost)
                     .with_threads(workers)
                     .with_shards(shards);
                 let mut jobs: Vec<EvalJob> =

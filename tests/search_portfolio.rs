@@ -14,7 +14,7 @@ use rtm::placement::random_walk;
 use rtm::placement::search::Budget;
 use rtm::{
     AccessSequence, ArrayGeometry, Benchmark, FitnessEngine, GaConfig, GeneticPlacer, LaneSpec,
-    Placement, PlacementProblem, Portfolio, PortfolioConfig, RtmGeometry, SaConfig,
+    Placement, PlacementProblem, Portfolio, PortfolioConfig, RtmGeometry, SaConfig, Session,
     SimulatedAnnealing, Strategy, TabuConfig, TabuSearch,
 };
 
@@ -46,7 +46,7 @@ fn reported_costs_reevaluate_under_the_naive_engine() {
     let budget = Budget::evals(400);
     for (ports, subarrays) in [(1usize, 1usize), (2, 1), (4, 1), (1, 2), (2, 2)] {
         let problem = array_problem(&seq, 4, ports, subarrays);
-        let naive = FitnessEngine::naive(&seq, problem.cost_model());
+        let naive = FitnessEngine::reference(seq.clone(), problem.cost_model());
         for strategy in [
             Strategy::Sa(SaConfig::new(budget)),
             Strategy::Tabu(TabuConfig::new(budget)),
@@ -79,10 +79,11 @@ fn portfolio_lanes_match_standalone_solvers_bit_for_bit() {
         let budget = Budget::evals(600);
         let cfg = PortfolioConfig::new(budget).with_seed(41);
         let seeds = problem.heuristic_seeds();
-        let engine = problem.engine();
+        let session = Session::new(problem.clone());
+        let engine = session.engine();
         let race = Portfolio::new(cfg.clone())
             .with_subarrays(problem.subarrays())
-            .run_with_engine(&engine, problem.dbcs(), problem.capacity(), &seeds)
+            .run_with_engine(engine, problem.dbcs(), problem.capacity(), &seeds)
             .unwrap();
         assert_eq!(race.lanes.len(), 4);
         // Standalone re-runs, lane by lane.
@@ -91,17 +92,17 @@ fn portfolio_lanes_match_standalone_solvers_bit_for_bit() {
             let solo = match outcome.spec {
                 LaneSpec::Sa => SimulatedAnnealing::new(SaConfig::new(budget).with_seed(seed))
                     .with_subarrays(problem.subarrays())
-                    .run_with_engine(&engine, problem.dbcs(), problem.capacity(), &seeds)
+                    .run_with_engine(engine, problem.dbcs(), problem.capacity(), &seeds)
                     .unwrap(),
                 LaneSpec::Tabu => TabuSearch::new(TabuConfig::new(budget).with_seed(seed))
                     .with_subarrays(problem.subarrays())
-                    .run_with_engine(&engine, problem.dbcs(), problem.capacity(), &seeds)
+                    .run_with_engine(engine, problem.dbcs(), problem.capacity(), &seeds)
                     .unwrap(),
                 LaneSpec::Ga => {
                     let out = GeneticPlacer::new(GaConfig::paper().with_seed(seed))
                         .with_subarrays(problem.subarrays())
                         .run_budgeted(
-                            &engine,
+                            engine,
                             problem.dbcs(),
                             problem.capacity(),
                             &seeds,
@@ -120,7 +121,7 @@ fn portfolio_lanes_match_standalone_solvers_bit_for_bit() {
                     }
                 }
                 LaneSpec::RandomWalk => random_walk::run_budgeted(
-                    &engine,
+                    engine,
                     problem.dbcs(),
                     problem.capacity(),
                     seed,
@@ -215,8 +216,13 @@ fn fixed_seed_goldens_on_the_paper_trace() {
     let folio = problem
         .solve(&Strategy::Portfolio(PortfolioConfig::new(budget)))
         .unwrap();
-    let (_, optimum) =
-        rtm::placement::exact::solve(problem.seq(), 2, 512, rtm::CostModel::single_port()).unwrap();
+    let (_, optimum) = rtm::placement::exact::solve(
+        problem.seq().unwrap(),
+        2,
+        512,
+        rtm::CostModel::single_port(),
+    )
+    .unwrap();
     assert_eq!(optimum, 9);
     assert_eq!((sa.shifts, sa.evals_consumed), (9, 1_500));
     assert_eq!((tabu.shifts, tabu.evals_consumed), (9, 1_500));
@@ -258,7 +264,7 @@ fn budgets_cap_and_terminate() {
         ] {
             let sol = problem.solve(&strategy).unwrap();
             sol.placement
-                .validate(problem.seq(), problem.capacity())
+                .validate(problem.seq().unwrap(), problem.capacity())
                 .unwrap();
             assert_eq!(sol.shifts, problem.evaluate(&sol.placement), "{strategy}");
         }
@@ -274,9 +280,10 @@ fn custom_lane_lists_race_exactly_those_lanes() {
         .with_seed(5)
         .with_lanes(vec![LaneSpec::Tabu, LaneSpec::RandomWalk]);
     let seeds = problem.heuristic_seeds();
-    let engine = problem.engine();
+    let session = Session::new(problem.clone());
+    let engine = session.engine();
     let out = Portfolio::new(cfg)
-        .run_with_engine(&engine, problem.dbcs(), problem.capacity(), &seeds)
+        .run_with_engine(engine, problem.dbcs(), problem.capacity(), &seeds)
         .unwrap();
     assert_eq!(out.lanes.len(), 2);
     assert_eq!(out.lanes[0].spec, LaneSpec::Tabu);
