@@ -1,4 +1,4 @@
-use super::{check_fit, InterHeuristic};
+use super::{check_fit, leading_marked, var_mask, InterHeuristic};
 use crate::error::PlacementError;
 use rtm_trace::{AccessSequence, Liveness, VarId};
 
@@ -65,48 +65,132 @@ impl Dma {
     pub fn partition_with(&self, live: &Liveness) -> DmaPartition {
         let order = live.by_first_occurrence();
         let disjoint = scan_chain(live, &order);
-        let non_disjoint = order
-            .into_iter()
-            .filter(|v| !disjoint.contains(v))
-            .collect();
+        let selected = var_mask(live.len(), &disjoint);
+        let non_disjoint = order.into_iter().filter(|v| !selected[v.index()]).collect();
         DmaPartition {
             disjoint,
             non_disjoint,
         }
     }
+
+    /// [`distribute`](InterHeuristic::distribute) together with the
+    /// [`disjoint_dbc_count`](Self::disjoint_dbc_count) of the result, from
+    /// one liveness scan.
+    pub(crate) fn distribute_counted(
+        &self,
+        seq: &AccessSequence,
+        dbcs: usize,
+        capacity: usize,
+    ) -> Result<(Vec<Vec<VarId>>, usize), PlacementError> {
+        let live = seq.liveness();
+        let part = self.partition_with(&live);
+        check_fit(
+            part.disjoint.len() + part.non_disjoint.len(),
+            dbcs,
+            capacity,
+        )?;
+        // The scan's selection, taken before the capacity loop may demote
+        // some of it to the non-disjoint side.
+        let selected = var_mask(live.len(), &part.disjoint);
+        let dist = deal(&live, part, dbcs, capacity);
+        let k = leading_marked(&dist, &selected);
+        Ok((dist, k))
+    }
+
+    /// Number of leading DBCs holding disjoint variables in a distribution
+    /// previously produced by [`distribute`](InterHeuristic::distribute).
+    ///
+    /// Composite strategies use this to know which DBCs must keep their
+    /// access order (the disjoint ones) and which may be reordered by an
+    /// intra-DBC heuristic.
+    pub fn disjoint_dbc_count(
+        &self,
+        seq: &AccessSequence,
+        dbcs: usize,
+        capacity: usize,
+    ) -> Result<usize, PlacementError> {
+        self.distribute_counted(seq, dbcs, capacity).map(|(_, k)| k)
+    }
 }
 
 /// One pass of Algorithm 1's liveness scan (lines 5–12) over `candidates`
-/// (given in ascending first-occurrence order): extracts a pairwise-disjoint
-/// chain maximizing self accesses.
+/// (distinct variables in ascending first-occurrence order): extracts a
+/// pairwise-disjoint chain maximizing self accesses.
+///
+/// Line 10 compares `A_v` with the summed frequency of the candidates still
+/// in `V_ndj` whose lifespans nest strictly inside `v`'s (`F_u > F_v`,
+/// `L_u < L_v`). That sum does not depend on the chain built so far: the
+/// scan visits candidates in ascending `F`, so every variable already moved
+/// to the chain has `F_u < F_v` and fails the nesting test anyway. All
+/// nested sums are therefore computed up front ([`nested_sums`]) and the
+/// scan itself is a single linear pass: O(C log C) for `C` candidates.
 pub(crate) fn scan_chain(live: &Liveness, candidates: &[VarId]) -> Vec<VarId> {
-    let mut in_ndj: Vec<bool> = vec![false; live.len()];
-    for &v in candidates {
-        in_ndj[v.index()] = true;
-    }
+    let nested = nested_sums(live, candidates);
     let mut chain = Vec::new();
     let mut t_min = 0usize;
-    for &v in candidates {
-        if live.first(v) > t_min {
-            // Σ A_u over u still in V_ndj with F_u > F_v and L_u < L_v.
-            let nested_sum: u64 = candidates
-                .iter()
-                .filter(|&&u| {
-                    u != v
-                        && in_ndj[u.index()]
-                        && live.first(u) > live.first(v)
-                        && live.last(u) < live.last(v)
-                })
-                .map(|&u| live.frequency(u))
-                .sum();
-            if live.frequency(v) > nested_sum {
-                chain.push(v);
-                in_ndj[v.index()] = false;
-                t_min = live.last(v);
-            }
+    for (&v, &nested_sum) in candidates.iter().zip(&nested) {
+        if live.first(v) > t_min && live.frequency(v) > nested_sum {
+            chain.push(v);
+            t_min = live.last(v);
         }
     }
     chain
+}
+
+/// For every candidate `v` (ascending first occurrence), `Σ A_u` over the
+/// candidates `u` with `F_u > F_v` and `L_u < L_v`.
+///
+/// One reverse sweep: walking the candidates by descending `F`, a Fenwick
+/// tree holds the frequencies of the candidates already passed (exactly
+/// those with `F_u > F_v`), keyed by the rank of `L_u`, so the prefix below
+/// `v`'s rank is its nested sum. Keying by rank rather than by trace
+/// position keeps the tree at O(C) memory on any trace length. Distinct
+/// accessed variables have distinct last occurrences, so ranks are exact;
+/// an unaccessed candidate has frequency 0 and adds nothing.
+fn nested_sums(live: &Liveness, candidates: &[VarId]) -> Vec<u64> {
+    let n = candidates.len();
+    let mut by_last: Vec<usize> = (0..n).collect();
+    by_last.sort_unstable_by_key(|&i| live.last(candidates[i]));
+    let mut rank = vec![0usize; n];
+    for (r, &i) in by_last.iter().enumerate() {
+        rank[i] = r;
+    }
+    let mut tree = Fenwick::new(n);
+    let mut nested = vec![0u64; n];
+    for i in (0..n).rev() {
+        nested[i] = tree.prefix(rank[i]);
+        tree.add(rank[i], live.frequency(candidates[i]));
+    }
+    nested
+}
+
+/// A Fenwick (binary indexed) tree of sums over the ranks `0..n`.
+struct Fenwick(Vec<u64>);
+
+impl Fenwick {
+    fn new(n: usize) -> Self {
+        Self(vec![0; n + 1])
+    }
+
+    /// Adds `value` at `rank`.
+    fn add(&mut self, rank: usize, value: u64) {
+        let mut i = rank + 1;
+        while i < self.0.len() {
+            self.0[i] += value;
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// The sum over the ranks `0..rank`.
+    fn prefix(&self, rank: usize) -> u64 {
+        let mut i = rank;
+        let mut sum = 0;
+        while i > 0 {
+            sum += self.0[i];
+            i &= i - 1;
+        }
+        sum
+    }
 }
 
 impl InterHeuristic for Dma {
@@ -120,109 +204,87 @@ impl InterHeuristic for Dma {
         dbcs: usize,
         capacity: usize,
     ) -> Result<Vec<Vec<VarId>>, PlacementError> {
-        let live = seq.liveness();
-        let total_vars = live.by_first_occurrence().len();
-        check_fit(total_vars, dbcs, capacity)?;
-
-        let DmaPartition {
-            mut disjoint,
-            mut non_disjoint,
-        } = self.partition_with(&live);
-
-        // K = ceil(|Vdj| / N), capped so the non-disjoint side fits.
-        let mut k = disjoint.len().div_ceil(capacity);
-        loop {
-            let k_eff = if non_disjoint.is_empty() {
-                k.min(dbcs)
-            } else {
-                k.min(dbcs.saturating_sub(1))
-            };
-            let dj_cap = k_eff * capacity;
-            let ndj_cap = (dbcs - k_eff) * capacity;
-            if disjoint.len() > dj_cap {
-                // Demote the latest-selected disjoint variables.
-                let demoted = disjoint.split_off(dj_cap);
-                // Keep V_ndj in first-occurrence order.
-                non_disjoint.extend(demoted);
-                non_disjoint.sort_by_key(|&v| live.first(v));
-                k = k_eff;
-                continue;
-            }
-            if non_disjoint.len() > ndj_cap {
-                // Shrink the disjoint side to free DBCs (total fit holds, so
-                // k > 0 here).
-                debug_assert!(k_eff > 0);
-                k = k_eff - 1;
-                let demoted = disjoint.split_off(k * capacity);
-                non_disjoint.extend(demoted);
-                non_disjoint.sort_by_key(|&v| live.first(v));
-                continue;
-            }
-            k = k_eff;
-            break;
-        }
-
-        let mut out: Vec<Vec<VarId>> = vec![Vec::new(); dbcs];
-
-        // Lines 14–17: disjoint variables round-robin over DBCs 0..K in
-        // ascending F_v (they arrive already sorted).
-        if k > 0 {
-            for (i, &v) in disjoint.iter().enumerate() {
-                out[i % k].push(v);
-            }
-        }
-
-        // Lines 18–21: non-disjoint variables round-robin over DBCs K..q in
-        // descending A_v (AFD rule; ties by id like `Afd`).
-        if !non_disjoint.is_empty() {
-            non_disjoint.sort_by(|a, b| {
-                live.frequency(*b)
-                    .cmp(&live.frequency(*a))
-                    .then(a.index().cmp(&b.index()))
-            });
-            let span = dbcs - k;
-            let mut d = 0usize;
-            for v in non_disjoint {
-                let mut tries = 0;
-                while out[k + d].len() >= capacity {
-                    d = (d + 1) % span;
-                    tries += 1;
-                    debug_assert!(tries <= span, "capacity loop guarantees space");
-                }
-                out[k + d].push(v);
-                d = (d + 1) % span;
-            }
-        }
-        Ok(out)
+        self.distribute_counted(seq, dbcs, capacity)
+            .map(|(dist, _)| dist)
     }
 }
 
-impl Dma {
-    /// Number of leading DBCs holding disjoint variables in a distribution
-    /// previously produced by [`distribute`](InterHeuristic::distribute).
-    ///
-    /// Composite strategies use this to know which DBCs must keep their
-    /// access order (the disjoint ones) and which may be reordered by an
-    /// intra-DBC heuristic.
-    pub fn disjoint_dbc_count(
-        &self,
-        seq: &AccessSequence,
-        dbcs: usize,
-        capacity: usize,
-    ) -> Result<usize, PlacementError> {
-        let dist = self.distribute(seq, dbcs, capacity)?;
-        let part = self.partition(seq);
-        // A DBC is "disjoint" if its first variable is in V_dj; distribute
-        // fills 0..K with V_dj only.
-        Ok(dist
-            .iter()
-            .take_while(|l| l.first().is_some_and(|v| part.disjoint.contains(v)))
-            .count())
+/// Lines 13–21 of Algorithm 1: deals a partition over `dbcs` DBCs of
+/// `capacity` locations (the total fit is already checked).
+fn deal(live: &Liveness, part: DmaPartition, dbcs: usize, capacity: usize) -> Vec<Vec<VarId>> {
+    let DmaPartition {
+        mut disjoint,
+        mut non_disjoint,
+    } = part;
+    // K = ceil(|Vdj| / N), capped so the non-disjoint side fits.
+    let mut k = disjoint.len().div_ceil(capacity);
+    loop {
+        let k_eff = if non_disjoint.is_empty() {
+            k.min(dbcs)
+        } else {
+            k.min(dbcs.saturating_sub(1))
+        };
+        let dj_cap = k_eff * capacity;
+        let ndj_cap = (dbcs - k_eff) * capacity;
+        if disjoint.len() > dj_cap {
+            // Demote the latest-selected disjoint variables.
+            let demoted = disjoint.split_off(dj_cap);
+            // Keep V_ndj in first-occurrence order.
+            non_disjoint.extend(demoted);
+            non_disjoint.sort_by_key(|&v| live.first(v));
+            k = k_eff;
+            continue;
+        }
+        if non_disjoint.len() > ndj_cap {
+            // Shrink the disjoint side to free DBCs (total fit holds, so
+            // k > 0 here).
+            debug_assert!(k_eff > 0);
+            k = k_eff - 1;
+            let demoted = disjoint.split_off(k * capacity);
+            non_disjoint.extend(demoted);
+            non_disjoint.sort_by_key(|&v| live.first(v));
+            continue;
+        }
+        k = k_eff;
+        break;
     }
+
+    let mut out: Vec<Vec<VarId>> = vec![Vec::new(); dbcs];
+
+    // Lines 14–17: disjoint variables round-robin over DBCs 0..K in
+    // ascending F_v (they arrive already sorted).
+    if k > 0 {
+        for (i, &v) in disjoint.iter().enumerate() {
+            out[i % k].push(v);
+        }
+    }
+
+    // Lines 18–21: non-disjoint variables round-robin over DBCs K..q in
+    // descending A_v (AFD rule; ties by id like `Afd`).
+    if !non_disjoint.is_empty() {
+        non_disjoint.sort_by(|a, b| {
+            live.frequency(*b)
+                .cmp(&live.frequency(*a))
+                .then(a.index().cmp(&b.index()))
+        });
+        let span = dbcs - k;
+        let mut d = 0usize;
+        for v in non_disjoint {
+            let mut tries = 0;
+            while out[k + d].len() >= capacity {
+                d = (d + 1) % span;
+                tries += 1;
+                debug_assert!(tries <= span, "capacity loop guarantees space");
+            }
+            out[k + d].push(v);
+            d = (d + 1) % span;
+        }
+    }
+    out
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::cost::CostModel;
     use crate::placement::Placement;
@@ -358,5 +420,109 @@ mod tests {
         let dist = Dma.distribute(&s, 1, 8).unwrap();
         assert_eq!(dist.len(), 1);
         assert_eq!(dist[0].len(), 2);
+    }
+
+    /// The O(C²) scan [`scan_chain`] replaced: re-sums the nested
+    /// frequencies of the candidates still in `V_ndj` for every variable.
+    pub(crate) fn scan_chain_reference(live: &Liveness, candidates: &[VarId]) -> Vec<VarId> {
+        let mut in_ndj: Vec<bool> = vec![false; live.len()];
+        for &v in candidates {
+            in_ndj[v.index()] = true;
+        }
+        let mut chain = Vec::new();
+        let mut t_min = 0usize;
+        for &v in candidates {
+            if live.first(v) > t_min {
+                // Σ A_u over u still in V_ndj with F_u > F_v and L_u < L_v.
+                let nested_sum: u64 = candidates
+                    .iter()
+                    .filter(|&&u| {
+                        u != v
+                            && in_ndj[u.index()]
+                            && live.first(u) > live.first(v)
+                            && live.last(u) < live.last(v)
+                    })
+                    .map(|&u| live.frequency(u))
+                    .sum();
+                if live.frequency(v) > nested_sum {
+                    chain.push(v);
+                    in_ndj[v.index()] = false;
+                    t_min = live.last(v);
+                }
+            }
+        }
+        chain
+    }
+
+    #[test]
+    fn heuristic_oracle_scan_chain_handles_empty_and_single_variable_traces() {
+        let empty = AccessSequence::from_ids(rtm_trace::VarTable::new(), Vec::new());
+        assert!(scan_chain(&empty.liveness(), &[]).is_empty());
+        let single = AccessSequence::parse("a a a").unwrap();
+        let live = single.liveness();
+        let order = live.by_first_occurrence();
+        assert_eq!(scan_chain(&live, &order), order);
+        assert_eq!(
+            scan_chain(&live, &order),
+            scan_chain_reference(&live, &order)
+        );
+    }
+
+    use crate::test_traces::{arb_trace, sub_list};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The rank-indexed Fenwick scan selects exactly the reference's
+        /// chain over every accessed variable.
+        #[test]
+        fn heuristic_oracle_scan_chain_matches_reference(seq in arb_trace(40, 300)) {
+            let live = seq.liveness();
+            let order = live.by_first_occurrence();
+            prop_assert_eq!(scan_chain(&live, &order), scan_chain_reference(&live, &order));
+        }
+
+        /// Candidate subsets (any sub-list of the first-occurrence order,
+        /// the form `DmaMulti` re-scans) select the reference's chain.
+        #[test]
+        fn heuristic_oracle_scan_chain_matches_reference_on_subsets(
+            seq in arb_trace(40, 300),
+            keep in vec(any::<bool>(), 1..=16),
+        ) {
+            let live = seq.liveness();
+            let candidates = sub_list(&live.by_first_occurrence(), &keep);
+            prop_assert_eq!(
+                scan_chain(&live, &candidates),
+                scan_chain_reference(&live, &candidates)
+            );
+        }
+
+        /// The partition and the disjoint-DBC count match the reference
+        /// scan's, at geometries from exactly full to roomy.
+        #[test]
+        fn heuristic_oracle_distribution_matches_reference(
+            seq in arb_trace(40, 300),
+            dbcs in 1usize..6,
+            slack in 0usize..3,
+        ) {
+            let live = seq.liveness();
+            let order = live.by_first_occurrence();
+            let disjoint = scan_chain_reference(&live, &order);
+            let non_disjoint: Vec<VarId> =
+                order.iter().copied().filter(|v| !disjoint.contains(v)).collect();
+            let part = Dma.partition(&seq);
+            prop_assert_eq!(part.disjoint, disjoint);
+            prop_assert_eq!(part.non_disjoint, non_disjoint);
+
+            let capacity = order.len().div_ceil(dbcs).max(1) + slack;
+            let (dist, k) = Dma.distribute_counted(&seq, dbcs, capacity).unwrap();
+            let reference_k = dist
+                .iter()
+                .take_while(|l| l.first().is_some_and(|v| disjoint.contains(v)))
+                .count();
+            prop_assert_eq!(k, reference_k);
+        }
     }
 }

@@ -13,6 +13,9 @@ pub use afd::Afd;
 pub use dma::{Dma, DmaPartition};
 pub use dma_multi::DmaMulti;
 
+#[cfg(test)]
+pub(crate) use dma::tests::scan_chain_reference;
+
 use crate::error::PlacementError;
 use rtm_trace::{AccessSequence, VarId};
 
@@ -40,6 +43,24 @@ pub trait InterHeuristic {
         dbcs: usize,
         capacity: usize,
     ) -> Result<Vec<Vec<VarId>>, PlacementError>;
+}
+
+/// Membership bitmap of `vars` over the ids `0..len`.
+pub(crate) fn var_mask(len: usize, vars: &[VarId]) -> Vec<bool> {
+    let mut mask = vec![false; len];
+    for v in vars {
+        mask[v.index()] = true;
+    }
+    mask
+}
+
+/// Number of leading DBCs of `dist` whose first variable is marked in
+/// `mask` — for DMA, the DBCs holding selected disjoint variables, which a
+/// composite strategy must leave in access order.
+pub(crate) fn leading_marked(dist: &[Vec<VarId>], mask: &[bool]) -> usize {
+    dist.iter()
+        .take_while(|l| l.first().is_some_and(|v| mask[v.index()]))
+        .count()
 }
 
 /// Checks the basic fit `vars ≤ dbcs × capacity` shared by all heuristics.

@@ -1,4 +1,4 @@
-use super::{append_unaccessed, IntraHeuristic};
+use super::{id_bound, IntraHeuristic};
 use rtm_trace::VarId;
 
 /// Order of first use (OFU): variables receive offsets in the order they are
@@ -31,13 +31,13 @@ impl IntraHeuristic for Ofu {
     }
 
     fn order(&self, vars: &[VarId], sub: &[VarId]) -> Vec<VarId> {
-        let mut seen = Vec::with_capacity(vars.len());
-        for &v in sub {
-            if !seen.contains(&v) {
-                seen.push(v);
-            }
-        }
-        append_unaccessed(seen, vars)
+        // First uses in the subsequence, then the never-accessed variables.
+        let mut seen = vec![false; id_bound(sub, vars)];
+        sub.iter()
+            .chain(vars)
+            .copied()
+            .filter(|v| !std::mem::replace(&mut seen[v.index()], true))
+            .collect()
     }
 }
 
@@ -76,5 +76,47 @@ mod tests {
         let vars: Vec<VarId> = (0..3).map(VarId::from_index).collect();
         let order = Ofu.order(&vars, &[]);
         assert_eq!(order, vars);
+    }
+
+    /// [`Ofu::order`] as it was before the seen-set: `Vec::contains`
+    /// scans of the growing order.
+    fn order_reference(vars: &[VarId], sub: &[VarId]) -> Vec<VarId> {
+        let mut seen = Vec::with_capacity(vars.len());
+        for &v in sub {
+            if !seen.contains(&v) {
+                seen.push(v);
+            }
+        }
+        for &v in vars {
+            if !seen.contains(&v) {
+                seen.push(v);
+            }
+        }
+        seen
+    }
+
+    use crate::test_traces::{arb_trace, sub_list};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Any trace, with any sub-list of its variables plus unaccessed
+        /// ids as the DBC's variable list, orders like the reference.
+        #[test]
+        fn heuristic_oracle_ofu_matches_reference(
+            seq in arb_trace(40, 300),
+            keep in vec(any::<bool>(), 1..=16),
+            extra in vec(0usize..48, 0..=8),
+        ) {
+            let ids = seq.liveness().by_first_occurrence();
+            let vars: Vec<VarId> = sub_list(&ids, &keep)
+                .into_iter()
+                .chain(extra.into_iter().map(VarId::from_index))
+                .collect();
+            let sub = seq.restrict_to(|v| vars.contains(&v));
+            prop_assert_eq!(Ofu.order(&vars, &sub), order_reference(&vars, &sub));
+        }
     }
 }

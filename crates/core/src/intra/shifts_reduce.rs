@@ -1,7 +1,7 @@
 //! The ShiftsReduce intra-DBC heuristic and the arrangement-cost helpers.
 
 use super::grouping::{bidirectional_grouping, LocalGraph, Seed};
-use super::{append_unaccessed, IntraHeuristic};
+use super::{append_unaccessed, restrict_lists, IntraHeuristic};
 use rtm_trace::{AccessSequence, VarId};
 
 /// The ShiftsReduce heuristic (Khan et al., 2019): adjacency-driven
@@ -135,9 +135,10 @@ pub fn arrangement_cost(layout: &[VarId], sub: &[VarId]) -> u64 {
     g.arrangement_cost(&pos)
 }
 
-/// Builds the restricted subsequence of `seq` for the variables in `vars`.
+/// Builds the restricted subsequence of `seq` for the variables in `vars`
+/// (one pass over the trace).
 pub fn restrict(seq: &AccessSequence, vars: &[VarId]) -> Vec<VarId> {
-    seq.restrict_to(|v| vars.contains(&v))
+    restrict_lists(seq.accesses(), &[vars]).swap_remove(0)
 }
 
 #[cfg(test)]

@@ -77,6 +77,8 @@ pub mod random_walk;
 pub mod search;
 mod session;
 mod strategy;
+#[cfg(test)]
+mod test_traces;
 
 pub use cancel::CancelToken;
 pub use cost::{sum_per_subarray, CostModel, InitialAlignment};

@@ -2,8 +2,8 @@ use crate::cost::CostModel;
 use crate::error::PlacementError;
 use crate::eval::{EngineStats, FitnessEngine};
 use crate::ga::GaConfig;
-use crate::inter::{Afd, Dma, InterHeuristic};
-use crate::intra::IntraHeuristic;
+use crate::inter::{Afd, Dma, DmaMulti, InterHeuristic};
+use crate::intra::{restrict_lists, Chen, IntraHeuristic, Ofu, ShiftsReduce};
 use crate::placement::Placement;
 use crate::random_walk::RandomWalkConfig;
 use crate::search::{LaneReport, PortfolioConfig, SaConfig, StopCause, TabuConfig};
@@ -513,15 +513,20 @@ impl PlacementProblem {
     /// heuristic, which is what makes the never-loses guarantee hold at
     /// any budget ≥ 1 evaluation.
     pub fn heuristic_seeds(&self) -> Vec<Placement> {
-        let mut scored: Vec<(u64, Placement)> = [
-            Strategy::AfdOfu,
-            Strategy::DmaOfu,
-            Strategy::DmaChen,
-            Strategy::DmaSr,
-        ]
-        .iter()
-        .filter_map(|s| self.solve(s).ok().map(|sol| (sol.shifts, sol.placement)))
-        .collect();
+        let Some(seq) = self.seq() else {
+            return Vec::new();
+        };
+        let mut seeds: Vec<Placement> = self.afd(seq, Some(&Ofu)).into_iter().collect();
+        // One DMA distribution and one split of the trace over its DBCs
+        // serve all three DMA composites.
+        if let Ok(dma) = self.dma_reorderable(seq) {
+            let intras: [&dyn IntraHeuristic; 3] = [&Ofu, &Chen, &ShiftsReduce::new()];
+            seeds.extend(intras.map(|intra| dma.order(intra)));
+        }
+        let mut scored: Vec<(u64, Placement)> = seeds
+            .into_iter()
+            .map(|p| (self.cost.shift_cost(&p, seq.accesses()), p))
+            .collect();
         scored.sort_by_key(|(shifts, _)| *shifts);
         scored.into_iter().map(|(_, p)| p).collect()
     }
@@ -535,7 +540,7 @@ impl PlacementProblem {
     ) -> Result<Placement, PlacementError> {
         let dist = Afd.distribute(seq, self.dbcs, self.capacity)?;
         Ok(match intra {
-            Some(intra) => Self::apply_intra(seq, dist, intra, 0),
+            Some(intra) => Reorderable::new(seq, dist, 0).order(intra),
             None => Placement::from_dbc_lists(dist),
         })
     }
@@ -548,16 +553,19 @@ impl PlacementProblem {
         seq: &AccessSequence,
         intra: Option<&dyn IntraHeuristic>,
     ) -> Result<Placement, PlacementError> {
-        let dist = Dma.distribute(seq, self.dbcs, self.capacity)?;
-        let Some(intra) = intra else {
-            return Ok(Placement::from_dbc_lists(dist));
-        };
-        let part = Dma.partition(seq);
-        let k = dist
-            .iter()
-            .take_while(|l| l.first().is_some_and(|v| part.disjoint.contains(v)))
-            .count();
-        Ok(Self::apply_intra(seq, dist, intra, k))
+        match intra {
+            Some(intra) => Ok(self.dma_reorderable(seq)?.order(intra)),
+            None => Dma
+                .distribute(seq, self.dbcs, self.capacity)
+                .map(Placement::from_dbc_lists),
+        }
+    }
+
+    /// The DMA distribution with its non-disjoint DBCs split out for
+    /// reordering.
+    fn dma_reorderable(&self, seq: &AccessSequence) -> Result<Reorderable, PlacementError> {
+        let (dist, k) = Dma.distribute_counted(seq, self.dbcs, self.capacity)?;
+        Ok(Reorderable::new(seq, dist, k))
     }
 
     /// Multi-chain DMA distribution; intra heuristic on the leftover DBCs
@@ -567,25 +575,37 @@ impl PlacementProblem {
         seq: &AccessSequence,
         intra: &dyn IntraHeuristic,
     ) -> Result<Placement, PlacementError> {
-        let multi = crate::inter::DmaMulti::new();
-        let dist = multi.distribute(seq, self.dbcs, self.capacity)?;
-        let k = multi.chain_dbc_count(seq, self.dbcs, self.capacity)?;
-        Ok(Self::apply_intra(seq, dist, intra, k))
+        let (dist, k) = DmaMulti::new().distribute_counted(seq, self.dbcs, self.capacity)?;
+        Ok(Reorderable::new(seq, dist, k).order(intra))
+    }
+}
+
+/// A distribution whose DBCs from `skip` on an intra heuristic may
+/// reorder, with each such DBC's restricted subsequence cut from the trace
+/// once — so several intra heuristics can reorder one distribution.
+struct Reorderable {
+    dist: Vec<Vec<VarId>>,
+    /// `(dbc, subsequence)` of every reorderable DBC with at least two
+    /// variables (shorter lists have a single order).
+    subs: Vec<(usize, Vec<VarId>)>,
+}
+
+impl Reorderable {
+    fn new(seq: &AccessSequence, dist: Vec<Vec<VarId>>, skip: usize) -> Self {
+        let dbcs: Vec<usize> = (skip..dist.len()).filter(|&d| dist[d].len() >= 2).collect();
+        let lists: Vec<&[VarId]> = dbcs.iter().map(|&d| dist[d].as_slice()).collect();
+        let subs = restrict_lists(seq.accesses(), &lists);
+        Self {
+            subs: dbcs.into_iter().zip(subs).collect(),
+            dist,
+        }
     }
 
-    /// Reorders DBCs `skip..` of `dist` with `intra`.
-    fn apply_intra(
-        seq: &AccessSequence,
-        mut dist: Vec<Vec<VarId>>,
-        intra: &dyn IntraHeuristic,
-        skip: usize,
-    ) -> Placement {
-        for list in dist.iter_mut().skip(skip) {
-            if list.len() < 2 {
-                continue;
-            }
-            let sub = seq.restrict_to(|v| list.contains(&v));
-            *list = intra.order(list, &sub);
+    /// The placement with every reorderable DBC ordered by `intra`.
+    fn order(&self, intra: &dyn IntraHeuristic) -> Placement {
+        let mut dist = self.dist.clone();
+        for (d, sub) in &self.subs {
+            dist[*d] = intra.order(&self.dist[*d], sub);
         }
         Placement::from_dbc_lists(dist)
     }
@@ -869,6 +889,81 @@ mod tests {
                 "{ports} ports: aware {} > rescored {rescored}",
                 aware.shifts
             );
+        }
+    }
+
+    /// The per-DBC reordering as it was before [`Reorderable`]: one
+    /// `Vec::contains` filter of the whole trace per DBC.
+    fn apply_intra_reference(
+        seq: &AccessSequence,
+        mut dist: Vec<Vec<VarId>>,
+        intra: &dyn IntraHeuristic,
+        skip: usize,
+    ) -> Placement {
+        for list in dist.iter_mut().skip(skip) {
+            if list.len() < 2 {
+                continue;
+            }
+            let sub = seq.restrict_to(|v| list.contains(&v));
+            *list = intra.order(list, &sub);
+        }
+        Placement::from_dbc_lists(dist)
+    }
+
+    use crate::inter::scan_chain_reference;
+    use crate::test_traces::arb_trace;
+    use proptest::prelude::{prop_assert_eq, proptest, ProptestConfig};
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every composite heuristic places exactly as the reference
+        /// pipeline (reference scan, per-DBC filters) does, and the shared
+        /// seed computation returns the four composites' solutions, stably
+        /// sorted by cost, exactly as solving each one would.
+        #[test]
+        fn heuristic_oracle_composites_and_seeds_match_reference(
+            seq in arb_trace(40, 300),
+            dbcs in 1usize..6,
+            slack in 0usize..3,
+        ) {
+            let live = seq.liveness();
+            let order = live.by_first_occurrence();
+            let capacity = order.len().div_ceil(dbcs).max(1) + slack;
+            let p = PlacementProblem::new(seq.clone(), dbcs, capacity);
+
+            let afd = Afd.distribute(&seq, dbcs, capacity).unwrap();
+            prop_assert_eq!(
+                p.solve(&Strategy::AfdOfu).unwrap().placement,
+                apply_intra_reference(&seq, afd, &Ofu, 0)
+            );
+            let disjoint = scan_chain_reference(&live, &order);
+            let dist = Dma.distribute(&seq, dbcs, capacity).unwrap();
+            let k = dist
+                .iter()
+                .take_while(|l| l.first().is_some_and(|v| disjoint.contains(v)))
+                .count();
+            let sr = ShiftsReduce::new();
+            let composites: [(Strategy, &dyn IntraHeuristic); 3] = [
+                (Strategy::DmaOfu, &Ofu),
+                (Strategy::DmaChen, &Chen),
+                (Strategy::DmaSr, &sr),
+            ];
+            for (strategy, intra) in composites {
+                prop_assert_eq!(
+                    p.solve(&strategy).unwrap().placement,
+                    apply_intra_reference(&seq, dist.clone(), intra, k)
+                );
+            }
+
+            let mut solved: Vec<Solution> =
+                [Strategy::AfdOfu, Strategy::DmaOfu, Strategy::DmaChen, Strategy::DmaSr]
+                    .iter()
+                    .map(|s| p.solve(s).unwrap())
+                    .collect();
+            solved.sort_by_key(|sol| sol.shifts);
+            let reference: Vec<Placement> = solved.into_iter().map(|sol| sol.placement).collect();
+            prop_assert_eq!(p.heuristic_seeds(), reference);
         }
     }
 }
