@@ -197,18 +197,10 @@ impl Hasher for ListHasher {
 /// when its content hash recurs, so one-off lists (crossover churn, random
 /// candidates) cost a filter write instead of a `Box` allocation and a map
 /// insert.
+#[derive(Default)]
 struct Memo {
     map: HashMap<Box<[VarId]>, u64, BuildHasherDefault<ListHasher>>,
-    filter: Box<[u64]>,
-}
-
-impl Default for Memo {
-    fn default() -> Self {
-        Self {
-            map: HashMap::default(),
-            filter: vec![0; FILTER_SLOTS].into_boxed_slice(),
-        }
-    }
+    filter: TouchFilter,
 }
 
 impl std::fmt::Debug for Memo {
@@ -257,29 +249,48 @@ struct SubseqEntry {
     summary: std::sync::Arc<Summary>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct SubseqCache {
     map: HashMap<u64, SubseqEntry, BuildHasherDefault<ListHasher>>,
     stored: usize,
     /// Second-touch promotion filter: a membership is summarized and cached
     /// only when its key is seen a second time. Crossover churns through
     /// memberships that never recur; building summaries for those would be
-    /// pure allocation overhead. Fixed-size, collisions just overwrite.
-    filter: Box<[u64]>,
+    /// pure allocation overhead.
+    filter: TouchFilter,
 }
 
-impl Default for SubseqCache {
+/// log2 of the second-touch filter size.
+const FILTER_BITS: u32 = 13;
+
+/// A fixed-size second-touch filter: slot = low [`FILTER_BITS`] bits of a
+/// key, tag = the next 32 bits (the shard index reads the top 8, so slot,
+/// tag and shard use disjoint bits). Storing a `u32` tag instead of the
+/// whole key halves the filter. A tag collision only promotes an entry
+/// one touch early, and every cached value is a pure function of its key,
+/// so results never depend on it; colliding keys just overwrite.
+#[derive(Debug)]
+struct TouchFilter(Box<[u32]>);
+
+impl Default for TouchFilter {
     fn default() -> Self {
-        Self {
-            map: HashMap::default(),
-            stored: 0,
-            filter: vec![0; FILTER_SLOTS].into_boxed_slice(),
-        }
+        Self(vec![0; 1 << FILTER_BITS].into_boxed_slice())
     }
 }
 
-/// Size of the second-touch filter (power of two).
-const FILTER_SLOTS: usize = 8192;
+impl TouchFilter {
+    /// Whether `key` is the last key armed in its slot; if not, arms it.
+    fn seen_again(&mut self, key: u64) -> bool {
+        let slot = (key as usize) & ((1 << FILTER_BITS) - 1);
+        let tag = (key >> FILTER_BITS) as u32;
+        if self.0[slot] == tag {
+            true
+        } else {
+            self.0[slot] = tag;
+            false
+        }
+    }
+}
 
 /// splitmix64 finalizer: the per-member mix of the order-independent
 /// membership hash (members are combined with wrapping addition, so any
@@ -934,7 +945,6 @@ impl FitnessEngine {
         };
         let key = Self::list_key(list);
         let shard = memo.shard(key);
-        let slot = (key as usize) & (FILTER_SLOTS - 1);
         match overlay {
             Some(worker) => {
                 if let Some(&c) = worker.map.get(list) {
@@ -951,13 +961,11 @@ impl FitnessEngine {
                 // Second-touch promotion against the worker's private
                 // filter; the entry reaches the shared shard at the batch
                 // boundary merge.
-                if worker.filter[slot] == key {
+                if worker.filter.seen_again(key) {
                     if worker.map.len() >= self.memo_shard_cap {
                         worker.map.clear();
                     }
                     worker.map.insert(list.into(), c);
-                } else {
-                    worker.filter[slot] = key;
                 }
                 c
             }
@@ -968,13 +976,11 @@ impl FitnessEngine {
                 }
                 let c = self.dbc_cost_uncached(list, scratch, false);
                 let mut m = lock_counted(shard, &self.memo_contended);
-                if m.filter[slot] == key {
+                if m.filter.seen_again(key) {
                     if m.map.len() >= self.memo_shard_cap {
                         m.map.clear();
                     }
                     m.map.insert(list.into(), c);
-                } else {
-                    m.filter[slot] = key;
                 }
                 c
             }
@@ -1057,8 +1063,7 @@ impl FitnessEngine {
                                 Some(lock_counted(shard, &self.subseq_contended))
                             };
                             if let Some(mut c) = guard {
-                                let slot = (set_key as usize) & (FILTER_SLOTS - 1);
-                                if c.filter[slot] == set_key {
+                                if c.filter.seen_again(set_key) {
                                     let s = std::sync::Arc::new(self.summary_of_seq_buf(scratch));
                                     let entry = SubseqEntry {
                                         members: list
@@ -1074,8 +1079,6 @@ impl FitnessEngine {
                                         c.stored = s.weight();
                                     }
                                     c.map.insert(set_key, entry);
-                                } else {
-                                    c.filter[slot] = set_key;
                                 }
                             }
                             total

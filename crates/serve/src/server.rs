@@ -9,18 +9,27 @@
 //! integration tests). Admission control bounds concurrent solves: beyond
 //! `max_inflight` in-flight `place` requests, new ones are rejected
 //! immediately with `error: overloaded …` instead of queueing into
-//! deadline misses.
+//! deadline misses. A request line is read as bytes and bounded by
+//! `MAX_LINE_BYTES`; each response leaves in one write on a
+//! `TCP_NODELAY` socket (DESIGN.md §11.2).
 
 use crate::cache::{GeometryKey, SessionCache};
 use crate::fingerprint::Fingerprint;
 use crate::protocol::{parse_request, PlaceRequest, Request, RequestError};
 use crate::report::{solution_fields, Geometry};
 use rtm_placement::WorkerPool;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Longest request line the daemon reads, `'\n'` included. A longer line
+/// gets one `error:` line and the connection is closed, so no client can
+/// grow a connection's buffer without bound. The longest line an in-tree
+/// caller sends is a `perfbench` serve-mix inline trace of 14.5 KB
+/// (3k accesses), 1/72 of the cap.
+pub(crate) const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Daemon configuration. `Default` is what `rtm serve` starts with.
 #[derive(Debug, Clone)]
@@ -214,8 +223,12 @@ struct Connection {
 
 impl Connection {
     fn serve(&self, stream: TcpStream) {
+        // Every response leaves in one write. Without TCP_NODELAY, Nagle
+        // would still hold a response while an earlier segment waits for
+        // the client's delayed ACK (~40 ms).
         if stream
-            .set_read_timeout(Some(Duration::from_millis(100)))
+            .set_nodelay(true)
+            .and_then(|()| stream.set_read_timeout(Some(Duration::from_millis(100))))
             .is_err()
         {
             return;
@@ -225,19 +238,30 @@ impl Connection {
         };
         let mut reader = BufReader::new(read_half);
         let mut writer = stream;
-        let mut line = String::new();
+        let mut line = Vec::new();
         loop {
-            match reader.read_line(&mut line) {
-                Ok(0) => break,
+            // `line` is below the cap here, so the limit is at least 1.
+            let room = (MAX_LINE_BYTES - line.len()) as u64;
+            match (&mut reader).take(room).read_until(b'\n', &mut line) {
                 Ok(_) => {
-                    let (response, stop) = self.handle_line(line.trim_end_matches(['\r', '\n']));
-                    if writer
-                        .write_all(response.as_bytes())
-                        .and_then(|()| writer.write_all(b"\n"))
-                        .and_then(|()| writer.flush())
-                        .is_err()
-                        || stop
-                    {
+                    let complete = line.last() == Some(&b'\n');
+                    let (mut response, stop) = if !complete && line.len() == MAX_LINE_BYTES {
+                        self.counters.requests.fetch_add(1, Ordering::Relaxed);
+                        self.counters.errors.fetch_add(1, Ordering::Relaxed);
+                        let error = format!(
+                            "error: request line longer than {MAX_LINE_BYTES} bytes; \
+                             closing the connection"
+                        );
+                        (error, true)
+                    } else if line.is_empty() {
+                        break;
+                    } else {
+                        // A line without '\n' below the cap ends the stream.
+                        let (response, stop) = self.handle_line(&line);
+                        (response, stop || !complete)
+                    };
+                    response.push('\n');
+                    if writer.write_all(response.as_bytes()).is_err() || stop {
                         break;
                     }
                     line.clear();
@@ -253,11 +277,20 @@ impl Connection {
         }
     }
 
-    /// One request line → one response line. Never panics the connection:
-    /// every failure becomes an `error: …` response.
-    fn handle_line(&self, line: &str) -> (String, bool) {
+    /// One request line (raw bytes, `'\n'` included) → one response line.
+    /// Never panics the connection: every failure, invalid UTF-8 included,
+    /// becomes an `error: …` response.
+    fn handle_line(&self, line: &[u8]) -> (String, bool) {
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        match parse_request(line) {
+        let request = std::str::from_utf8(line)
+            .map_err(|e| {
+                RequestError::Malformed(format!(
+                    "request is not valid UTF-8 (byte {})",
+                    e.valid_up_to()
+                ))
+            })
+            .and_then(|line| parse_request(line.trim_end_matches(['\r', '\n'])));
+        match request {
             Ok(Request::Ping) => {
                 self.counters.ok.fetch_add(1, Ordering::Relaxed);
                 ("{\"ok\":true,\"pong\":true}".to_string(), false)
@@ -412,9 +445,10 @@ mod tests {
         (handle, stream)
     }
 
+    const PONG: &str = "{\"ok\":true,\"pong\":true}";
+
     fn roundtrip(stream: &mut TcpStream, line: &str) -> String {
-        stream.write_all(line.as_bytes()).unwrap();
-        stream.write_all(b"\n").unwrap();
+        stream.write_all(format!("{line}\n").as_bytes()).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut resp = String::new();
         reader.read_line(&mut resp).unwrap();
@@ -470,6 +504,74 @@ mod tests {
         // And a good request still works afterwards.
         let ok = roundtrip(&mut stream, "place dbcs=2 :: a b a b");
         assert_eq!(json::find_bool(&ok, "ok"), Some(true));
+        handle.shutdown();
+    }
+
+    #[test]
+    fn sequential_pings_do_not_stall_on_delayed_acks() {
+        // A response split over two writes waits ~40 ms per round trip for
+        // the client's delayed ACK (Nagle); 50 of them would take ~2 s.
+        let (handle, mut stream) = start();
+        stream.set_nodelay(true).unwrap();
+        let started = Instant::now();
+        for _ in 0..50 {
+            assert_eq!(roundtrip(&mut stream, "ping"), PONG);
+        }
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "50 pings took {elapsed:?}"
+        );
+        handle.shutdown();
+    }
+
+    #[test]
+    fn over_cap_line_gets_one_error_and_the_connection_closes() {
+        let (handle, stream) = start();
+        // Without a cap the daemon waits for the '\n' forever.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        // The server stops reading at the cap, so the rest of the write
+        // may fail once it closes; only the response matters.
+        let flood = std::thread::spawn(move || {
+            let _ = writer.write_all(&vec![b'a'; MAX_LINE_BYTES + (64 << 10)]);
+        });
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut resp = String::new();
+        reader.read_line(&mut resp).unwrap();
+        assert!(
+            resp.starts_with("error: request line longer than"),
+            "{resp}"
+        );
+        let mut rest = Vec::new();
+        // Closed: end of stream, or a reset for the unread flood.
+        if let Ok(n) = reader.read_to_end(&mut rest) {
+            assert_eq!(n, 0, "{rest:?}");
+        }
+        flood.join().unwrap();
+        // The daemon keeps serving new connections.
+        let mut fresh = TcpStream::connect(handle.addr()).unwrap();
+        assert_eq!(roundtrip(&mut fresh, "ping"), PONG);
+        let stats = roundtrip(&mut fresh, "stats");
+        assert_eq!(json::find_u64(&stats, "responses_error"), Some(1));
+        drop(stream);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn non_utf8_line_gets_one_error_and_the_connection_stays_usable() {
+        let (handle, mut stream) = start();
+        stream.write_all(b"place dbcs=2 :: a \xff b\n").unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut resp = String::new();
+        reader.read_line(&mut resp).unwrap();
+        assert!(
+            resp.starts_with("error: request is not valid UTF-8"),
+            "{resp}"
+        );
+        assert_eq!(roundtrip(&mut stream, "ping"), PONG);
         handle.shutdown();
     }
 

@@ -14,9 +14,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
 fn roundtrip(stream: &mut TcpStream, line: &str) -> String {
-    stream.write_all(line.as_bytes()).unwrap();
-    stream.write_all(b"\n").unwrap();
-    stream.flush().unwrap();
+    stream.write_all(format!("{line}\n").as_bytes()).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut resp = String::new();
     reader.read_line(&mut resp).unwrap();
